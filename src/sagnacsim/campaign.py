@@ -11,7 +11,14 @@ import numpy as np
 from .analysis import FitResult, fit_fringe, phase_shift
 from .errors import ConfigError
 from .plotting import render_campaign_svg
-from .sagnac import ExperimentConfig, FringeScan, generate_scan, scan_metadata, write_scan
+from .sagnac import (
+    ExperimentConfig,
+    FringeScan,
+    generate_scan,
+    load_json_object,
+    scan_metadata,
+    write_scan,
+)
 from .schedule import builtin_schedule, load_schedule
 
 SCHEMA_VERSION = 1
@@ -72,13 +79,7 @@ class CampaignSpec:
 
 
 def load_campaign_spec(path) -> CampaignSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read campaign spec {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"campaign spec {path} must be a JSON object")
-    return CampaignSpec.from_json_dict(data)
+    return CampaignSpec.from_json_dict(load_json_object(path, "campaign spec"))
 
 
 def _experiment_config(spec: CampaignSpec, d: int) -> ExperimentConfig:

@@ -26,7 +26,14 @@ from .errors import (
     SagnacsimError,
 )
 from .qudit import BipartiteQuditState
-from .sagnac import ExperimentConfig, generate_scan, read_scan, scan_metadata, write_scan
+from .sagnac import (
+    ExperimentConfig,
+    generate_scan,
+    load_json_object,
+    read_scan,
+    scan_metadata,
+    write_scan,
+)
 from .schedule import builtin_schedule, load_schedule
 from .verify import run_verification
 
@@ -79,18 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object")
-    return data
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_json(args.config, "config") if args.config else {}
+    config = load_json_object(args.config, "config") if args.config else {}
 
     def pick(flag, key, default):
         return flag if flag is not None else config.get(key, default)
@@ -175,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     state = None
     if args.state is not None:
-        state = BipartiteQuditState.from_json_dict(_load_json(args.state, "state"))
+        state = BipartiteQuditState.from_json_dict(load_json_object(args.state, "state"))
     results = run_verification(args.trials, args.seed, state)
     failed = False
     for res in results:

@@ -31,16 +31,22 @@ DEFAULT_CONTRAST = 0.35
 SCHEMA_VERSION = 1
 
 
-def coincidence_full(state: BipartiteQuditState, xi, theta: float) -> float:
-    """Coincidence probability for an arbitrary two-qudit path state."""
+def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
+    """Coincidence probability for an arbitrary two-qudit path state.
+
+    ``theta`` is a scalar, giving a float, or an array of plate angles,
+    giving an array of the same shape, one probability per angle.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (state.dim,):
         raise DimensionMismatchError(
             f"expected {state.dim} phases, got shape {xi.shape}"
         )
     a = state.amplitudes
-    diff = np.exp(1j * xi)[:, None] * a - np.exp(4j * theta) * a.T
-    return 0.25 * float(np.sum(np.abs(diff) ** 2))
+    theta = np.asarray(theta, dtype=float)
+    diff = np.exp(1j * xi)[:, None] * a - np.exp(4j * theta)[..., None, None] * a.T
+    p = 0.25 * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+    return float(p) if p.ndim == 0 else p
 
 
 def coincidence_mes(d: int, xi, theta: float) -> float:
@@ -143,9 +149,11 @@ class FringeScan:
 
     def __post_init__(self) -> None:
         thetas = np.asarray(self.thetas, dtype=float)
+        values = np.asarray(self.values)
+        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
+            raise ConfigError("scan thetas and values must be finite")
         if np.any(np.diff(thetas) <= 0.0):
             raise ConfigError("scan thetas must be strictly increasing")
-        values = np.asarray(self.values)
         if values.shape != thetas.shape:
             raise ConfigError("thetas and values must have matching shapes")
         if self.mode == "exact":
@@ -183,7 +191,7 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
         raise ScheduleError(f"t out of range: {t} not in [0, 1]")
     xi = cfg.schedule(t)
     mes = make_antisymmetric_mes(cfg.dim)
-    p = np.array([coincidence_full(mes, xi, th) for th in cfg.theta_grid])
+    p = coincidence_full(mes, xi, cfg.theta_grid)
     # rounding can overshoot the closed interval by ~1 ulp
     p_eff = np.clip(0.5 + cfg.contrast * (p - 0.5), 0.0, 1.0)
     if mode == "exact":
@@ -247,6 +255,20 @@ def read_scan(path) -> tuple[FringeScan, dict | None]:
     metadata = None
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-    t = float(metadata["t"]) if metadata and "t" in metadata else 0.0
+        metadata = load_json_object(sidecar, "scan sidecar")
+    try:
+        t = float(metadata["t"]) if metadata and "t" in metadata else 0.0
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed t in scan sidecar {sidecar}: {exc}") from exc
     return FringeScan(t, thetas, values, mode), metadata
+
+
+def load_json_object(path, what: str) -> dict:
+    """Read a JSON object from ``path``; any failure is a ConfigError naming ``what``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    return data

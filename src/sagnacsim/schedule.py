@@ -21,29 +21,24 @@ SU_TOL = 1e-12
 BUILTIN_DIMS = (2, 3, 4)
 
 
-def _heaviside(x: float) -> float:
-    # right-continuous convention: H(0) = 1
-    return 1.0 if x >= 0.0 else 0.0
-
-
-def _builtin_phases(d: int, t: float) -> np.ndarray:
+def _builtin_phases(d: int, t: np.ndarray) -> np.ndarray:
     if d == 2:
-        return np.array([np.pi * t, -np.pi * t])
+        return np.stack([np.pi * t, -np.pi * t], axis=-1)
+    # right-continuous step at the break: 1 for t >= 0.5, 0 before
+    h = (t >= 0.5).astype(float)
     if d == 3:
-        h = _heaviside(t - 0.5)
-        return np.array([
+        return np.stack([
             2.0 * np.pi / 3.0 * (2.0 * t - (2.0 * t - 1.0) * h),
             -4.0 * np.pi / 3.0 * t,
             2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h,
-        ])
+        ], axis=-1)
     if d == 4:
-        h = _heaviside(t - 0.5)
-        return np.array([
+        return np.stack([
             np.pi / 2.0 * t,
             -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h,
             3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h,
             -3.0 * np.pi / 2.0 * t,
-        ])
+        ], axis=-1)
     raise InvalidDimensionError(f"no builtin schedule for d={d}; supported: {BUILTIN_DIMS}")
 
 
@@ -87,15 +82,21 @@ class PhaseSchedule:
         if np.any(np.abs(values[0]) > 0.0):
             raise ScheduleError("schedule must satisfy xi_k(0) = 0 for all k")
 
-    def __call__(self, t: float) -> np.ndarray:
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise ScheduleError(f"t out of range: {t} not in [0, 1]")
+    def __call__(self, t) -> np.ndarray:
+        """Phases at t: shape (d,) for a scalar t, (..., d) for an array of t.
+
+        Every t must lie in [0, 1]; one out-of-range or NaN element rejects
+        the whole call.
+        """
+        t = np.asarray(t, dtype=float)
+        bad = ~((t >= 0.0) & (t <= 1.0))
+        if np.any(bad):
+            raise ScheduleError(f"t out of range: {t[bad].flat[0]} not in [0, 1]")
         if self.kind == "builtin":
             return _builtin_phases(self.dim, t)
-        return np.array([
+        return np.stack([
             np.interp(t, self._times, self._values[:, k]) for k in range(self.dim)
-        ])
+        ], axis=-1)
 
     @property
     def breakpoints(self):
@@ -111,13 +112,14 @@ def builtin_schedule(d: int) -> PhaseSchedule:
 
 
 def check_su(schedule: PhaseSchedule, grid: int) -> bool:
-    """True iff sum_k xi_k(t) = 0 within 1e-12 on a uniform t grid."""
+    """True iff sum_k xi_k(t) = 0 within 1e-12 on a uniform t grid.
+
+    The whole grid is evaluated in one schedule call; a NaN phase fails.
+    """
     if grid < 2:
         raise ScheduleError(f"grid must have at least 2 points, got {grid}")
-    for t in np.linspace(0.0, 1.0, grid):
-        if abs(float(np.sum(schedule(t)))) > SU_TOL:
-            return False
-    return True
+    sums = np.sum(schedule(np.linspace(0.0, 1.0, grid)), axis=-1)
+    return bool(np.all(np.abs(sums) <= SU_TOL))
 
 
 def load_schedule(path) -> PhaseSchedule:

@@ -3,17 +3,21 @@ import pytest
 
 from _helpers import circular_diff
 from sagnacsim import (
+    BipartiteQuditState,
     DegenerateLoopError,
+    DiagonalPhaseOp,
     ExperimentConfig,
     FitError,
     FringeScan,
     InvalidDimensionError,
     LowVisibilityError,
     PhaseSchedule,
+    apply_signal_phases,
     builtin_schedule,
     fit_fringe,
     fold_angle,
     generate_scan,
+    inner_product,
     kinematic_phase,
     make_antisymmetric_mes,
     phase_shift,
@@ -212,6 +216,52 @@ class TestKinematicPhase:
         report = kin.to_json_dict()
         assert report["degrees"]["geometric_deg"] == pytest.approx(180.0, abs=1e-4)
         assert report["steps"] == 200
+
+
+def reference_kinematic(state, schedule, steps):
+    """The per-step state chain: one phase-applied state per grid point."""
+    states = [
+        apply_signal_phases(state, DiagonalPhaseOp(state.dim, tuple(schedule(j / steps))))
+        for j in range(steps + 1)
+    ]
+
+    def chain(stride):
+        return sum(
+            float(np.angle(inner_product(states[j], states[j + stride])))
+            for j in range(0, steps + 1 - stride, stride)
+        )
+
+    total = float(np.angle(inner_product(states[0], states[-1])))
+    dynamical = (4.0 * chain(1) - chain(2)) / 3.0 if steps % 2 == 0 else chain(1)
+    return total, dynamical, fold_angle(total - dynamical)
+
+
+class TestKinematicReference:
+    def assert_matches_reference(self, state, sched, steps):
+        kin = kinematic_phase(state, sched, steps)
+        total, dynamical, geometric = reference_kinematic(state, sched, steps)
+        assert abs(kin.total - total) < 1e-12
+        assert abs(kin.dynamical - dynamical) < 1e-12
+        # geometric near +/-pi may fold to either end of (-pi, pi]
+        assert circular_diff(kin.geometric, geometric) < 1e-12
+
+    @pytest.mark.parametrize("steps", [2000, 2001])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mes_builtin(self, d, steps):
+        self.assert_matches_reference(make_antisymmetric_mes(d), builtin_schedule(d), steps)
+
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    def test_random_state_custom_schedule(self, steps):
+        rng = np.random.default_rng(31)
+        d = 5
+        amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        state = BipartiteQuditState(d, amps / np.linalg.norm(amps))
+        rows = [np.zeros(d)]
+        for _ in range(3):
+            row = rng.uniform(-np.pi, np.pi, d)
+            rows.append(row - row.mean())
+        sched = PhaseSchedule(d, "custom", times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
+        self.assert_matches_reference(state, sched, steps)
 
 
 class TestClosedLoopConsistency:

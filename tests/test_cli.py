@@ -114,6 +114,25 @@ class TestFit:
         bad.write_text("only,garbage\n1,2\n")
         assert run_cli("fit", bad) == 2
 
+    @pytest.mark.parametrize("sidecar", ['{"schema_version": 1, "dim": 2, "t": ', '[0.5, 1]'])
+    def test_bad_sidecar_exits_2(self, tmp_path, capsys, sidecar):
+        scan = make_scan(tmp_path, "s.csv", "--d", 2, "--t", 0, "--exact")
+        scan.with_suffix(".json").write_text(sidecar)
+        capsys.readouterr()
+        assert run_cli("fit", scan) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sidecar" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_exits_2(self, tmp_path, capsys, bad):
+        scan = make_scan(tmp_path, "s.csv", "--d", 2, "--t", 0, "--exact")
+        rows = scan.read_text().splitlines()
+        rows[5] = rows[5].split(",")[0] + "," + bad
+        scan.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_cli("fit", scan) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_report_to_file(self, tmp_path):
         scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
         out = tmp_path / "fit.json"

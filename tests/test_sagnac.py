@@ -156,6 +156,42 @@ class TestFringeScan:
         with pytest.raises(ConfigError):
             FringeScan(0.0, thetas, np.zeros(3), "other")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_non_finite_rejected(self, bad, mode):
+        thetas = np.array([0.0, 0.1, 0.2])
+        with pytest.raises(ConfigError, match="finite"):
+            FringeScan(0.0, thetas, np.array([0.0, bad, 1.0]), mode)
+        with pytest.raises(ConfigError, match="finite"):
+            FringeScan(0.0, np.array([0.0, bad, 0.2]), np.zeros(3), mode)
+
+
+class TestCoincidenceFullArray:
+    THETAS = np.concatenate([np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 1.0)),
+                             np.random.default_rng(23).uniform(-4.0, 4.0, 40)])
+
+    def assert_matches_scalar_loop(self, state, xi):
+        looped = np.array([coincidence_full(state, xi, th) for th in self.THETAS])
+        assert np.array_equal(coincidence_full(state, xi, self.THETAS), looped)
+        grid = self.THETAS[:180].reshape(12, 15)
+        assert np.array_equal(coincidence_full(state, xi, grid), looped[:180].reshape(12, 15))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_mes_equals_scalar_loop(self, d):
+        xi = np.random.default_rng(d).uniform(-2.0 * np.pi, 2.0 * np.pi, d)
+        self.assert_matches_scalar_loop(make_antisymmetric_mes(d), xi)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_random_state_equals_scalar_loop(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(5):
+            state = random_state(rng, d)
+            self.assert_matches_scalar_loop(state, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, d))
+
+    def test_scalar_theta_gives_float(self):
+        value = coincidence_full(make_antisymmetric_mes(3), np.zeros(3), np.float64(0.3))
+        assert type(value) is float
+
 
 class TestGenerateScan:
     def test_exact_d2_cycle_shifted(self):
@@ -232,6 +268,20 @@ class TestScanIO:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
+            read_scan(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"schema_version": 1, "dim": 2, "t": ',
+        '[1, 2, 3]',
+        '{"t": "soon"}',
+        '{"t": [0.5]}',
+    ])
+    def test_read_rejects_bad_sidecar(self, tmp_path, sidecar):
+        cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2))
+        path = tmp_path / "scan.csv"
+        write_scan(generate_scan(cfg, 0.0, mode="exact"), path)
+        path.with_suffix(".json").write_text(sidecar)
+        with pytest.raises(ConfigError, match="sidecar"):
             read_scan(path)
 
     def test_read_rejects_corrupt_rows(self, tmp_path):

@@ -55,7 +55,7 @@ class TestEval:
             atol=1e-15,
         )
 
-    @pytest.mark.parametrize("t", [-0.1, 1.0001, 2.0])
+    @pytest.mark.parametrize("t", [-0.1, 1.0001, 2.0, np.nan])
     def test_out_of_range(self, t):
         with pytest.raises(ScheduleError):
             builtin_schedule(2)(t)
@@ -163,3 +163,53 @@ class TestLoader:
         path.write_text("not json")
         with pytest.raises(ScheduleError):
             load_schedule(path)
+
+
+def _loaded_custom(tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "breakpoints": [[0.0, [0.0, 0.0, 0.0]], [0.3, [40.0, -10.0, -30.0]],
+                        [0.7, [-25.5, 90.0, -64.5]], [1.0, [120.0, 120.0, -240.0]]],
+    }))
+    return load_schedule(path)
+
+
+class TestArrayEvaluation:
+    T = np.concatenate([
+        np.linspace(0.0, 1.0, 1001),
+        [0.5 - 1e-12, 0.5 + 1e-12, 0.1, 0.3, 0.6, 0.7, 0.77],
+    ])
+
+    def assert_matches_scalar_calls(self, sched):
+        stacked = np.stack([sched(t) for t in self.T])
+        assert np.array_equal(sched(self.T), stacked)
+        grid = self.T[:1000].reshape(10, 100)
+        assert np.array_equal(sched(grid), stacked[:1000].reshape(10, 100, sched.dim))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_builtin_equals_scalar_calls(self, d):
+        self.assert_matches_scalar_calls(builtin_schedule(d))
+
+    def test_loaded_custom_equals_scalar_calls(self, tmp_path):
+        self.assert_matches_scalar_calls(_loaded_custom(tmp_path))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scalar_shape(self, d):
+        assert builtin_schedule(d)(0.25).shape == (d,)
+        assert builtin_schedule(d)(np.float64(1.0)).shape == (d,)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan])
+    def test_one_bad_element_rejects_array(self, bad, tmp_path):
+        t = np.linspace(0.0, 1.0, 11)
+        t[4] = bad
+        for sched in (builtin_schedule(3), _loaded_custom(tmp_path)):
+            with pytest.raises(ScheduleError):
+                sched(t)
+
+    def test_check_su_fails_on_nan_phase(self):
+        sched = PhaseSchedule(
+            2, "custom", times=[0.0, 0.5, 1.0],
+            values=[[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]],
+        )
+        assert not check_su(sched, 11)
