@@ -12,6 +12,7 @@ from .analysis import FitResult, fit_fringe, phase_shift
 from .errors import ConfigError
 from .plotting import render_campaign_svg
 from .sagnac import (
+    SCHEMA_VERSION,
     ExperimentConfig,
     FringeScan,
     generate_scan,
@@ -20,8 +21,6 @@ from .sagnac import (
     write_scan,
 )
 from .schedule import builtin_schedule, load_schedule
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,12 @@ class CampaignSpec:
                 raise ConfigError(f"t value out of range: {t}")
         if 0.0 not in self.t_values or 1.0 not in self.t_values:
             raise ConfigError("t values must include 0 (reference) and 1 (cyclic)")
+        # output files are named scan_d{d}_t{t:g}; a shared name would overwrite
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigError(f"dims must be distinct, got {list(self.dims)}")
+        names = [f"t{t:g}" for t in self.t_values]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"t values must give distinct output names, got {names}")
         if self.theta_step_deg <= 0.0 or self.theta_stop_deg <= self.theta_start_deg:
             raise ConfigError("invalid theta grid")
         if self.schedule_file is not None and len(self.dims) != 1:
@@ -68,10 +73,13 @@ class CampaignSpec:
         if extra:
             raise ConfigError(f"unknown campaign spec fields: {sorted(extra)}")
         kwargs = {k: v for k, v in data.items() if k in known}
-        if "dims" in kwargs:
-            kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
-        if "t_values" in kwargs:
-            kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
+        try:
+            if "dims" in kwargs:
+                kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
+            if "t_values" in kwargs:
+                kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("invalid campaign spec: dims and t_values must list numbers") from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:

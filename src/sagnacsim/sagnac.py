@@ -29,6 +29,8 @@ from .schedule import PhaseSchedule
 DEFAULT_THETA_GRID = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 5.0))
 DEFAULT_CONTRAST = 0.35
 SCHEMA_VERSION = 1
+# RNG layout of sampled scans, in their sidecars; 2 = one stream per (seed, dim, t)
+STREAM_VERSION = 2
 
 
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
@@ -126,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"contrast must be in [0, 1], got {self.contrast}")
         if self.counts_per_point < 1:
             raise ConfigError("counts_per_point must be >= 1")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.rng_seed!r}")
         if self.schedule.dim != self.dim:
             raise DimensionMismatchError(
                 f"schedule dimension {self.schedule.dim} != config dimension {self.dim}"
@@ -172,20 +176,15 @@ class FringeScan:
         object.__setattr__(self, "values", values)
 
 
-def _point_rng(seed: int, t: float, index: int) -> np.random.Generator:
-    # one independent substream per (t, theta point); t keyed at micro
-    # resolution so distinct scan settings never share a stream
-    t_key = int(round(t * 1_000_000))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t_key, index)))
-
-
 def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> FringeScan:
     """Simulate one fringe scan of the configured experiment.
 
     The ideal fringe p(theta) is degraded by the mode-mismatch contrast as
     p' = 1/2 + contrast * (p - 1/2).  Exact mode returns p'; sampled mode
     draws Poisson(counts_per_point * p') per point, reproducibly from the
-    configured seed.
+    configured seed: one stream per scan, keyed by (seed, dim, t) with t at
+    micro resolution, so distinct dimensions and settings never share noise
+    (stream version ``STREAM_VERSION``).
     """
     if not 0.0 <= t <= 1.0:
         raise ScheduleError(f"t out of range: {t} not in [0, 1]")
@@ -197,16 +196,16 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     if mode == "exact":
         return FringeScan(t, cfg.theta_grid, p_eff, "exact")
     if mode == "sampled":
-        counts = np.array([
-            _point_rng(cfg.rng_seed, t, i).poisson(cfg.counts_per_point * p_eff[i])
-            for i in range(p_eff.size)
-        ])
+        key = (cfg.dim, int(round(t * 1_000_000)))
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=key))
+        counts = rng.poisson(cfg.counts_per_point * p_eff)
         return FringeScan(t, cfg.theta_grid, counts, "sampled")
     raise ConfigError(f"unknown scan mode {mode!r}")
 
 
 def scan_metadata(cfg: ExperimentConfig, scan: FringeScan) -> dict:
-    return {
+    """Sidecar fields; sampled scans also record the RNG stream layout."""
+    metadata = {
         "schema_version": SCHEMA_VERSION,
         "dim": cfg.dim,
         "t": scan.t,
@@ -215,6 +214,9 @@ def scan_metadata(cfg: ExperimentConfig, scan: FringeScan) -> dict:
         "counts_per_point": cfg.counts_per_point,
         "mode": scan.mode,
     }
+    if scan.mode == "sampled":
+        metadata["stream_version"] = STREAM_VERSION
+    return metadata
 
 
 def write_scan(scan: FringeScan, path, metadata: dict | None = None) -> None:

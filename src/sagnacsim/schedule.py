@@ -75,6 +75,9 @@ class PhaseSchedule:
             )
         if times.size < 2:
             raise ScheduleError("need at least two breakpoints")
+        # NaN fails every comparison below, so reject it first
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ScheduleError("breakpoint times and phases must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ScheduleError("breakpoint times must be strictly increasing")
         if times[0] != 0.0 or times[-1] != 1.0:

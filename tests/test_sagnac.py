@@ -140,6 +140,9 @@ class TestExperimentConfig:
             ExperimentConfig(dim=2, schedule=sched, counts_per_point=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, t_values=(0.0, 1.2))
+        for seed in (-1, 1.5, "7"):
+            with pytest.raises(ConfigError, match="seed"):
+                ExperimentConfig(dim=2, schedule=sched, rng_seed=seed)
         with pytest.raises(DimensionMismatchError):
             ExperimentConfig(dim=3, schedule=sched)
 
@@ -222,6 +225,28 @@ class TestGenerateScan:
         # draws would reveal a shared stream
         assert not np.array_equal(generate_scan(cfg, 0.0).values, generate_scan(cfg, 1.0).values)
 
+    @pytest.mark.parametrize("d, t", [(2, 0.0), (3, 0.125), (4, 1.0)])
+    def test_stream_layout(self, d, t):
+        # stream version 2: one generator per scan, keyed (seed, dim, t in micro-units)
+        cfg = ExperimentConfig(dim=d, schedule=builtin_schedule(d), rng_seed=11)
+        means = cfg.counts_per_point * generate_scan(cfg, t, mode="exact").values
+        key = (d, int(round(t * 1e6)))
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=key))
+        np.testing.assert_array_equal(generate_scan(cfg, t).values, rng.poisson(means))
+
+    def test_distinct_dims_independent(self):
+        # contrast 0 makes every d statistically identical at t = 0, so equal
+        # draws would reveal a stream shared across dimensions
+        scans = {
+            d: generate_scan(
+                ExperimentConfig(dim=d, schedule=builtin_schedule(d), rng_seed=7, contrast=0.0),
+                0.0,
+            ).values
+            for d in (2, 3, 4)
+        }
+        for a, b in ((2, 3), (2, 4), (3, 4)):
+            assert not np.array_equal(scans[a], scans[b])
+
     def test_sampled_mean_tracks_probability(self):
         cfg = ExperimentConfig(
             dim=2, schedule=builtin_schedule(2), counts_per_point=200_000, rng_seed=3
@@ -254,14 +279,16 @@ class TestScanIO:
         assert loaded.mode == "sampled"
         assert meta["dim"] == 3 and meta["seed"] == 5 and meta["t"] == 1.0
         assert meta["contrast"] == 0.35 and meta["counts_per_point"] == 1000
+        assert meta["stream_version"] == 2
 
     def test_exact_round_trip(self, tmp_path):
         cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2))
         scan = generate_scan(cfg, 0.5, mode="exact")
         path = tmp_path / "exact.csv"
         write_scan(scan, path, scan_metadata(cfg, scan))
-        loaded, _ = read_scan(path)
+        loaded, meta = read_scan(path)
         assert loaded.mode == "exact"
+        assert "stream_version" not in meta
         np.testing.assert_allclose(loaded.values, scan.values, atol=0.0)
 
     def test_read_rejects_other_csv(self, tmp_path):

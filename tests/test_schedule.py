@@ -124,6 +124,15 @@ class TestCustomSchedules:
         with pytest.raises(ScheduleError):  # single breakpoint
             PhaseSchedule(2, "custom", times=[0.0], values=np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, np.nan, 1.0], np.zeros((3, 2))),
+        ([0.0, 0.5, 1.0], [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]]),
+        ([0.0, 0.5, 1.0], [[0.0, 0.0], [np.inf, -np.inf], [0.0, 0.0]]),
+    ])
+    def test_non_finite_breakpoints_rejected(self, times, values):
+        with pytest.raises(ScheduleError, match="finite"):
+            PhaseSchedule(2, "custom", times=times, values=values)
+
 
 class TestLoader:
     def test_round_trip_degrees(self, tmp_path):
@@ -208,8 +217,13 @@ class TestArrayEvaluation:
                 sched(t)
 
     def test_check_su_fails_on_nan_phase(self):
-        sched = PhaseSchedule(
-            2, "custom", times=[0.0, 0.5, 1.0],
-            values=[[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]],
-        )
+        # construction rejects NaN breakpoints, so the NaN phase comes from
+        # an evaluation that check_su sees
+        class NanPhase(PhaseSchedule):
+            def __call__(self, t):
+                xi = super().__call__(t)
+                xi[..., 0] = np.where(np.asarray(t) == 0.5, np.nan, xi[..., 0])
+                return xi
+
+        sched = NanPhase(2, "custom", times=[0.0, 1.0], values=np.zeros((2, 2)))
         assert not check_su(sched, 11)
