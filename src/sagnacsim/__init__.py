@@ -12,8 +12,6 @@ from .analysis import (
     fold_angle,
     kinematic_phase,
     phase_shift,
-    predict_fractional,
-    visibility_estimate,
 )
 from .campaign import CampaignSpec, load_campaign_spec, run_campaign
 from .errors import (
@@ -28,7 +26,7 @@ from .errors import (
     SagnacsimError,
     ScheduleError,
 )
-from .jones import HORIZONTAL, VERTICAL, JonesVector, compose, hwp, phase_shifter, qwp, relative_phase
+from .jones import compose, hwp, phase_shifter, qwp, relative_phase
 from .qudit import (
     BipartiteQuditState,
     DiagonalPhaseOp,
@@ -36,7 +34,6 @@ from .qudit import (
     i_concurrence,
     inner_product,
     make_antisymmetric_mes,
-    max_concurrence,
 )
 from .sagnac import (
     ExperimentConfig,
@@ -64,16 +61,13 @@ __all__ = [
     "FitError",
     "FitResult",
     "FringeScan",
-    "HORIZONTAL",
     "InvalidDimensionError",
-    "JonesVector",
     "KinematicPhases",
     "LowVisibilityError",
     "NonDiagonalError",
     "NormalizationError",
     "PhaseSchedule",
     "SagnacsimError",
-    "VERTICAL",
     "ScheduleError",
     "apply_signal_phases",
     "builtin_schedule",
@@ -92,15 +86,12 @@ __all__ = [
     "load_campaign_spec",
     "load_schedule",
     "make_antisymmetric_mes",
-    "max_concurrence",
     "phase_shift",
     "phase_shifter",
-    "predict_fractional",
     "qwp",
     "read_scan",
     "relative_phase",
     "run_campaign",
     "run_verification",
-    "visibility_estimate",
     "write_scan",
 ]

@@ -179,17 +179,6 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n)
 
 
-def visibility_estimate(scan: FringeScan) -> float:
-    """Direct (max - min) / (max + min) contrast of a scan, 0 for all-zero data."""
-    y = scan.values.astype(float)
-    if y.size == 0:
-        raise FitError("empty scan")
-    y_max, y_min = float(np.max(y)), float(np.min(y))
-    if y_max + y_min == 0.0:
-        return 0.0
-    return (y_max - y_min) / (y_max + y_min)
-
-
 def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:
     """Fringe displacement of an operated pattern relative to the reference.
 
@@ -278,9 +267,3 @@ def kinematic_phase(
     geometric = fold_angle(total - dynamical)
     return KinematicPhases(total, dynamical, geometric, steps)
 
-
-def predict_fractional(d: int, n: int) -> float:
-    """Fractional phase 2*pi*n/d expected for a cyclic loop, in [0, 2*pi)."""
-    if d < 2:
-        raise InvalidDimensionError(f"qudit dimension must be >= 2, got {d}")
-    return float(np.mod(TWO_PI * n / d, TWO_PI))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,14 @@ from .analysis import FitResult, fit_fringe, phase_shift
 from .errors import ConfigError
 from .plotting import render_campaign_svg
 from .sagnac import (
+    DEFAULT_CONTRAST,
+    DEFAULT_COUNTS,
+    DEFAULT_THETA_DEG,
     SCHEMA_VERSION,
     ExperimentConfig,
     FringeScan,
+    _integral,
+    _theta_grid,
     generate_scan,
     load_json_object,
     scan_metadata,
@@ -30,11 +35,11 @@ class CampaignSpec:
     dims: tuple[int, ...]
     mode: str = "exact"
     t_values: tuple[float, ...] = (0.0, 0.5, 1.0)
-    theta_start_deg: float = 0.0
-    theta_stop_deg: float = 180.0
-    theta_step_deg: float = 5.0
-    counts_per_point: int = 1000
-    contrast: float = 0.35
+    theta_start_deg: float = DEFAULT_THETA_DEG[0]
+    theta_stop_deg: float = DEFAULT_THETA_DEG[1]
+    theta_step_deg: float = DEFAULT_THETA_DEG[2]
+    counts_per_point: int = DEFAULT_COUNTS
+    contrast: float = DEFAULT_CONTRAST
     seed: int = 0
     schedule_file: str | None = None
     out_dir: str = "."
@@ -44,42 +49,36 @@ class CampaignSpec:
             raise ConfigError("campaign needs at least one dimension")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if not self.t_values:
-            raise ConfigError("campaign needs at least one t value")
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"t value out of range: {t}")
-        if 0.0 not in self.t_values or 1.0 not in self.t_values:
-            raise ConfigError("t values must include 0 (reference) and 1 (cyclic)")
         # output files are named scan_d{d}_t{t:g}; a shared name would overwrite
         if len(set(self.dims)) != len(self.dims):
             raise ConfigError(f"dims must be distinct, got {list(self.dims)}")
         names = [f"t{t:g}" for t in self.t_values]
         if len(set(names)) != len(names):
             raise ConfigError(f"t values must give distinct output names, got {names}")
-        if self.theta_step_deg <= 0.0 or self.theta_stop_deg <= self.theta_start_deg:
-            raise ConfigError("invalid theta grid")
+        # a bad or oversized grid fails here, before anything is created
+        _theta_grid(self.theta_start_deg, self.theta_stop_deg, self.theta_step_deg)
         if self.schedule_file is not None and len(self.dims) != 1:
             raise ConfigError("a custom schedule file implies a single dimension")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignSpec":
-        known = {
-            "dims", "mode", "t_values", "theta_start_deg", "theta_stop_deg",
-            "theta_step_deg", "counts_per_point", "contrast", "seed",
-            "schedule_file", "out_dir",
-        }
+        known = {f.name for f in fields(cls)}
         extra = set(data) - known - {"schema_version"}
         if extra:
             raise ConfigError(f"unknown campaign spec fields: {sorted(extra)}")
         kwargs = {k: v for k, v in data.items() if k in known}
         try:
             if "dims" in kwargs:
-                kwargs["dims"] = tuple(int(d) for d in kwargs["dims"])
+                kwargs["dims"] = tuple(_integral(d, "dim") for d in kwargs["dims"])
             if "t_values" in kwargs:
                 kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
         except (TypeError, ValueError) as exc:
-            raise ConfigError("invalid campaign spec: dims and t_values must list numbers") from exc
+            raise ConfigError(
+                "invalid campaign spec: dims must list integers and t_values numbers"
+            ) from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -95,14 +94,10 @@ def _experiment_config(spec: CampaignSpec, d: int) -> ExperimentConfig:
         schedule = load_schedule(spec.schedule_file)
     else:
         schedule = builtin_schedule(d)
-    grid = np.deg2rad(
-        np.arange(spec.theta_start_deg, spec.theta_stop_deg + 1e-9, spec.theta_step_deg)
-    )
     return ExperimentConfig(
         dim=d,
         schedule=schedule,
-        theta_grid=grid,
-        t_values=spec.t_values,
+        theta_grid=_theta_grid(spec.theta_start_deg, spec.theta_stop_deg, spec.theta_step_deg),
         counts_per_point=spec.counts_per_point,
         contrast=spec.contrast,
         rng_seed=spec.seed,
@@ -123,14 +118,17 @@ def run_campaign(spec: CampaignSpec) -> dict:
     ``summary.json`` (written last).  A failure partway deletes whatever was
     already written so no half-finished campaign is left behind.
     """
+    # the shift needs a reference scan and a cyclic one; a single scan does not
+    if 0.0 not in spec.t_values or 1.0 not in spec.t_values:
+        raise ConfigError("t values must include 0 (reference) and 1 (cyclic)")
+    configs = [_experiment_config(spec, d) for d in spec.dims]
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         results = []
         panels = []
-        for d in spec.dims:
-            cfg = _experiment_config(spec, d)
+        for d, cfg in zip(spec.dims, configs):
             fits: dict[float, FitResult] = {}
             series = []
             for t in spec.t_values:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_fringe, phase_shift
-from .campaign import load_campaign_spec, run_campaign
+from .campaign import CampaignSpec, _experiment_config, load_campaign_spec, run_campaign
 from .errors import (
     ConfigError,
     DegenerateLoopError,
@@ -27,24 +27,21 @@ from .errors import (
 )
 from .qudit import BipartiteQuditState
 from .sagnac import (
-    ExperimentConfig,
+    DEFAULT_CONTRAST,
+    DEFAULT_COUNTS,
+    DEFAULT_THETA_DEG,
     generate_scan,
     load_json_object,
     read_scan,
     scan_metadata,
     write_scan,
 )
-from .schedule import builtin_schedule, load_schedule
 from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
 OUTDIR_ENV = "SAGNACSIM_OUTDIR"
-
-
-def _default_outdir() -> Path:
-    return Path(os.environ.get(OUTDIR_ENV, "."))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,20 +51,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # dests are the config-file keys, so flags overlay the file key by key
     sim = sub.add_parser("simulate", help="generate one fringe scan")
-    sim.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-    sim.add_argument("--d", type=int, help="qudit dimension (builtin schedules: 2, 3, 4)")
+    sim.add_argument("--config", type=Path,
+                     help="JSON config: campaign spec fields plus dim and t (flags override it)")
+    sim.add_argument("--d", dest="dim", type=int,
+                     help="qudit dimension (builtin schedules: 2, 3, 4)")
     sim.add_argument("--t", type=float, help="schedule setting in [0, 1]")
     mode = sim.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="write exact probabilities")
-    mode.add_argument("--sampled", action="store_true", help="write Poisson counts (default)")
+    mode.add_argument("--exact", dest="mode", action="store_const", const="exact",
+                      help="write exact probabilities")
+    mode.add_argument("--sampled", dest="mode", action="store_const", const="sampled",
+                      help="write Poisson counts (default)")
     sim.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    sim.add_argument("--contrast", type=float, help="fringe contrast in [0, 1] (default 0.35)")
-    sim.add_argument("--counts", type=int, help="mean coincidences per point (default 1000)")
-    sim.add_argument("--theta-start", type=float, help="grid start in degrees (default 0)")
-    sim.add_argument("--theta-stop", type=float, help="grid stop in degrees (default 180)")
-    sim.add_argument("--theta-step", type=float, help="grid step in degrees (default 5)")
-    sim.add_argument("--schedule-file", type=Path, help="custom schedule JSON")
+    sim.add_argument("--contrast", type=float,
+                     help=f"fringe contrast in [0, 1] (default {DEFAULT_CONTRAST})")
+    sim.add_argument("--counts", dest="counts_per_point", type=int,
+                     help=f"mean coincidences per point (default {DEFAULT_COUNTS})")
+    start, stop, step = DEFAULT_THETA_DEG
+    sim.add_argument("--theta-start", dest="theta_start_deg", type=float,
+                     help=f"grid start in degrees (default {start:g})")
+    sim.add_argument("--theta-stop", dest="theta_stop_deg", type=float,
+                     help=f"grid stop in degrees (default {stop:g})")
+    sim.add_argument("--theta-step", dest="theta_step_deg", type=float,
+                     help=f"grid step in degrees (default {step:g})")
+    sim.add_argument("--schedule-file", type=str, help="custom schedule JSON")
     sim.add_argument("--out", type=Path, help="output CSV path (default auto-named)")
 
     fit = sub.add_parser("fit", help="fit a scan, optionally against a reference")
@@ -87,43 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_json_object(args.config, "config") if args.config else {}
+    fields = load_json_object(args.config, "config") if args.config else {}
+    fields.update({key: value for key, value in vars(args).items()
+                   if value is not None and key not in ("command", "config", "out")})
+    if "dims" in fields or "t_values" in fields:
+        raise ConfigError("simulate takes one 'dim' and one 't', not 'dims' or 't_values'")
+    if "dim" not in fields or "t" not in fields:
+        raise ConfigError("simulate needs a dimension and a t (--d/--t or config 'dim'/'t')")
+    fields.setdefault("mode", "sampled")
+    fields.setdefault("out_dir", os.environ.get(OUTDIR_ENV, "."))
+    fields["dims"], fields["t_values"] = [fields.pop("dim")], [fields.pop("t")]
+    spec = CampaignSpec.from_json_dict(fields)
+    cfg = _experiment_config(spec, spec.dims[0])
+    scan = generate_scan(cfg, spec.t_values[0], mode=spec.mode)
 
-    def pick(flag, key, default):
-        return flag if flag is not None else config.get(key, default)
-
-    d = pick(args.d, "dim", None)
-    t = pick(args.t, "t", None)
-    if d is None:
-        raise ConfigError("dimension required (--d or config 'dim')")
-    if t is None:
-        raise ConfigError("schedule setting required (--t or config 't')")
-    schedule_file = args.schedule_file or config.get("schedule_file")
-    schedule = load_schedule(schedule_file) if schedule_file else builtin_schedule(int(d))
-    start = pick(args.theta_start, "theta_start_deg", 0.0)
-    stop = pick(args.theta_stop, "theta_stop_deg", 180.0)
-    step = pick(args.theta_step, "theta_step_deg", 5.0)
-    if step <= 0 or stop <= start:
-        raise ConfigError("invalid theta grid")
-    cfg = ExperimentConfig(
-        dim=int(d),
-        schedule=schedule,
-        theta_grid=np.deg2rad(np.arange(start, stop + 1e-9, step)),
-        counts_per_point=int(pick(args.counts, "counts_per_point", 1000)),
-        contrast=float(pick(args.contrast, "contrast", 0.35)),
-        rng_seed=int(pick(args.seed, "seed", 0)),
-    )
-    if args.exact:
-        scan_mode = "exact"
-    elif args.sampled:
-        scan_mode = "sampled"
-    else:
-        scan_mode = config.get("mode", "sampled")
-    scan = generate_scan(cfg, float(t), mode=scan_mode)
-
-    out = args.out
-    if out is None:
-        out = _default_outdir() / f"scan_d{cfg.dim}_t{float(t):g}.csv"
+    out = args.out or Path(spec.out_dir) / f"scan_d{cfg.dim}_t{scan.t:g}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_scan(scan, out, scan_metadata(cfg, scan))
     print(out)

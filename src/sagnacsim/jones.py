@@ -10,40 +10,11 @@ Conventions (H/V basis, column vectors, matrices act from the left):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonDiagonalError, NormalizationError
+from .errors import NonDiagonalError
 
 DIAG_OFFDIAG_TOL = 1e-9
-NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class JonesVector:
-    """Unit-norm polarization state with H and V amplitudes."""
-
-    h: complex
-    v: complex
-
-    def __post_init__(self) -> None:
-        norm_sq = abs(self.h) ** 2 + abs(self.v) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NormalizationError(
-                f"|h|^2 + |v|^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.h, self.v], dtype=complex)
-
-    def transformed(self, matrix: np.ndarray) -> "JonesVector":
-        out = np.asarray(matrix, dtype=complex) @ self.as_array()
-        return JonesVector(complex(out[0]), complex(out[1]))
-
-
-HORIZONTAL = JonesVector(1.0 + 0.0j, 0.0j)
-VERTICAL = JonesVector(0.0j, 1.0 + 0.0j)
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -102,12 +73,3 @@ def relative_phase(matrix: np.ndarray) -> float:
         raise NonDiagonalError(f"off-diagonal magnitude {off:.3e} exceeds {DIAG_OFFDIAG_TOL}")
     return float(np.mod(np.angle(m[1, 1]) - np.angle(m[0, 0]), 2.0 * np.pi))
 
-
-def format_matrix(matrix: np.ndarray, digits: int = 6) -> str:
-    """Plain-text rendering of a 2x2 complex matrix for debug output."""
-    m = np.asarray(matrix, dtype=complex)
-    rows = []
-    for r in range(2):
-        cells = [f"{m[r, c].real:+.{digits}f}{m[r, c].imag:+.{digits}f}j" for c in range(2)]
-        rows.append("[ " + "  ".join(cells) + " ]")
-    return "\n".join(rows)

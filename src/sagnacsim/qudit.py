@@ -94,13 +94,6 @@ def i_concurrence(state: BipartiteQuditState) -> float:
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
 
 
-def max_concurrence(d: int) -> float:
-    """Largest possible I-concurrence sqrt(2*(d-1)/d) in dimension d."""
-    if d < 2:
-        raise InvalidDimensionError(f"qudit dimension must be >= 2, got {d}")
-    return float(np.sqrt(2.0 * (d - 1) / d))
-
-
 def apply_signal_phases(state: BipartiteQuditState, op: DiagonalPhaseOp) -> BipartiteQuditState:
     """Multiply row m of the amplitude matrix by exp(i*xi_m).
 

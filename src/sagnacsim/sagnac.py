@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,11 +27,39 @@ from .jones import hwp, phase_shifter
 from .qudit import BipartiteQuditState, make_antisymmetric_mes
 from .schedule import PhaseSchedule
 
-DEFAULT_THETA_GRID = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 5.0))
+# scan defaults, shared with CampaignSpec; the grid as (start, stop, step) degrees
+DEFAULT_THETA_DEG = (0.0, 180.0, 5.0)
+DEFAULT_COUNTS = 1000
 DEFAULT_CONTRAST = 0.35
+MAX_THETA_POINTS = 100_000
 SCHEMA_VERSION = 1
 # RNG layout of sampled scans, in their sidecars; 2 = one stream per (seed, dim, t)
 STREAM_VERSION = 2
+
+
+def _theta_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Plate angles in radians from ``start_deg`` to ``stop_deg`` inclusive.
+
+    The points are counted before anything is allocated; a grid of more than
+    ``MAX_THETA_POINTS`` points is a ConfigError.
+    """
+    if not (step_deg > 0.0 and stop_deg > start_deg):
+        raise ConfigError("invalid theta grid")
+    stop = stop_deg + 1e-9
+    if not (stop - start_deg) / step_deg <= MAX_THETA_POINTS:
+        raise ConfigError(f"theta grid exceeds {MAX_THETA_POINTS} points")
+    return np.deg2rad(np.arange(start_deg, stop, step_deg))
+
+
+DEFAULT_THETA_GRID = _theta_grid(*DEFAULT_THETA_DEG)
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int if it is an integer or an integral float; else ConfigError."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
@@ -113,8 +142,7 @@ class ExperimentConfig:
     dim: int
     schedule: PhaseSchedule
     theta_grid: np.ndarray = field(default_factory=lambda: DEFAULT_THETA_GRID.copy())
-    t_values: tuple[float, ...] = (0.0, 0.5, 1.0)
-    counts_per_point: int = 1000
+    counts_per_point: int = DEFAULT_COUNTS
     contrast: float = DEFAULT_CONTRAST
     rng_seed: int = 0
 
@@ -124,9 +152,12 @@ class ExperimentConfig:
             raise ConfigError("theta grid must not be empty")
         if np.any(np.diff(grid) <= 0.0):
             raise ConfigError("theta grid must be strictly increasing")
+        if isinstance(self.contrast, bool) or not isinstance(self.contrast, numbers.Real):
+            raise ConfigError(f"contrast must be a number, got {self.contrast!r}")
         if not 0.0 <= self.contrast <= 1.0:
             raise ConfigError(f"contrast must be in [0, 1], got {self.contrast}")
-        if self.counts_per_point < 1:
+        counts = _integral(self.counts_per_point, "counts_per_point")
+        if counts < 1:
             raise ConfigError("counts_per_point must be >= 1")
         if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.rng_seed!r}")
@@ -134,12 +165,11 @@ class ExperimentConfig:
             raise DimensionMismatchError(
                 f"schedule dimension {self.schedule.dim} != config dimension {self.dim}"
             )
-        for t in self.t_values:
-            if not 0.0 <= t <= 1.0:
-                raise ConfigError(f"t value out of range: {t}")
         grid.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
-        object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
+        # sidecars echo these; one type each keeps equal inputs byte-identical
+        object.__setattr__(self, "contrast", float(self.contrast))
+        object.__setattr__(self, "counts_per_point", counts)
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,11 @@ class PhaseSchedule:
             self._times = None
             self._values = None
         elif kind == "custom":
-            times = np.asarray(times, dtype=float)
-            values = np.asarray(values, dtype=float)
+            # read-only copies, so later writes to the caller's arrays cannot skip the checks
+            times = np.array(times, dtype=float)
+            values = np.array(values, dtype=float)
+            times.setflags(write=False)
+            values.setflags(write=False)
             self._validate_breakpoints(times, values)
             self._times = times
             self._values = values

@@ -11,7 +11,6 @@ import pytest
 
 from _helpers import circular_diff
 from sagnacsim import (
-    BipartiteQuditState,
     CampaignSpec,
     ExperimentConfig,
     FringeScan,
@@ -30,6 +29,7 @@ from sagnacsim import (
     relative_phase,
     run_campaign,
 )
+from sagnacsim.verify import random_state
 
 THETAS_37 = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 5.0))
 # reference measured shifts (value, tolerance) in degrees that sampled-mode
@@ -39,12 +39,6 @@ REFERENCE_SHIFTS_DEG = {2: (182.0, 7.0), 3: (126.0, 3.0), 4: (94.0, 3.0)}
 
 def report(name, detail):
     print(f"ACCEPTANCE PASS: {name} ({detail})")
-
-
-def random_state(rng, d):
-    amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    amps /= np.linalg.norm(amps)
-    return BipartiteQuditState(d, amps)
 
 
 def test_exact_mode_fractional_phases(tmp_path):

@@ -79,6 +79,49 @@ class TestSimulate:
         # same endpoint as the builtin qubit schedule
         assert rows[0.0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        # 1.8e11 points: refused from the count, before any allocation
+        assert run_cli("simulate", "--d", 2, "--t", 0, "--theta-step", 1e-9,
+                       "--out", tmp_path / "x.csv") == 2
+        assert "100000 points" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_matches_campaign_scan(self, tmp_path):
+        fields = {"mode": "sampled", "seed": 4, "counts_per_point": 700, "contrast": 0.5,
+                  "theta_start_deg": 3, "theta_step_deg": 2.5}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**fields, "dims": [3], "t_values": [0, 0.5, 1],
+                                    "out_dir": str(tmp_path / "camp")}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**fields, "dim": 3, "t": 0.5}))
+        assert run_cli("campaign", spec) == 0
+        out = make_scan(tmp_path, "sim.csv", "--config", config)
+        for suffix in (".csv", ".json"):
+            campaign_file = tmp_path / "camp" / f"scan_d3_t0.5{suffix}"
+            assert out.with_suffix(suffix).read_bytes() == campaign_file.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("contrast", "x"), ("contrast", True), ("counts_per_point", "x"),
+    ("counts_per_point", 1000.5), ("dim", 2.7), ("seed", 1.5), ("bogus", 1),
+])
+def test_bad_field_same_error_in_simulate_and_campaign(tmp_path, capsys, field, value):
+    spec = {"dims": [value] if field == "dim" else [2], "mode": "exact",
+            "out_dir": str(tmp_path / "out")}
+    config = {"dim": 2, "t": 0, "mode": "exact"}
+    if field != "dim":
+        spec[field] = value
+    config[field] = value
+    errors = []
+    for command, data in (("campaign", spec), ("simulate", config)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data))
+        argv = [command, path] if command == "campaign" else [command, "--config", path]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error:") and errors[0] == errors[1]
+    assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     def test_exact_ququart_shift(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from sagnacsim import (
     i_concurrence,
     inner_product,
     make_antisymmetric_mes,
-    max_concurrence,
 )
 
 
@@ -102,23 +101,7 @@ class TestIConcurrence:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_mes_reaches_maximum(self, d):
-        assert abs(i_concurrence(make_antisymmetric_mes(d)) - max_concurrence(d)) < 1e-12
-
-
-class TestMaxConcurrence:
-    def test_values(self):
-        assert max_concurrence(2) == pytest.approx(1.0)
-        assert max_concurrence(3) == pytest.approx(np.sqrt(4.0 / 3.0))
-
-    def test_monotone_limit(self):
-        values = [max_concurrence(d) for d in range(2, 40)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert values[-1] < np.sqrt(2.0)
-        assert max_concurrence(10_000) == pytest.approx(np.sqrt(2.0), abs=1e-4)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidDimensionError):
-            max_concurrence(1)
+        assert abs(i_concurrence(make_antisymmetric_mes(d)) - np.sqrt(2.0 * (d - 1) / d)) < 1e-12
 
 
 class TestApplySignalPhases:

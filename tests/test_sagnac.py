@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sagnacsim import (
-    BipartiteQuditState,
     ConfigError,
     DimensionMismatchError,
     ExperimentConfig,
@@ -18,12 +17,7 @@ from sagnacsim import (
     write_scan,
 )
 from sagnacsim.sagnac import scan_metadata
-
-
-def random_state(rng, d):
-    amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    amps /= np.linalg.norm(amps)
-    return BipartiteQuditState(d, amps)
+from sagnacsim.verify import random_state
 
 
 class TestCoincidenceFull:
@@ -126,7 +120,13 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3))
         assert cfg.theta_grid.size == 37
         assert cfg.contrast == 0.35
-        assert cfg.t_values == (0.0, 0.5, 1.0)
+
+    def test_numeric_fields_normalised(self):
+        # the sidecar echoes these, so an int contrast and a float count must not leak
+        cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2), contrast=1,
+                               counts_per_point=1000.0)
+        assert type(cfg.contrast) is float and cfg.contrast == 1.0
+        assert type(cfg.counts_per_point) is int and cfg.counts_per_point == 1000
 
     def test_validation(self):
         sched = builtin_schedule(2)
@@ -138,8 +138,12 @@ class TestExperimentConfig:
             ExperimentConfig(dim=2, schedule=sched, contrast=1.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, counts_per_point=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(dim=2, schedule=sched, t_values=(0.0, 1.2))
+        for contrast in ("x", True, None):
+            with pytest.raises(ConfigError, match="contrast"):
+                ExperimentConfig(dim=2, schedule=sched, contrast=contrast)
+        for counts in ("x", 1000.5, True, np.nan):
+            with pytest.raises(ConfigError, match="counts_per_point"):
+                ExperimentConfig(dim=2, schedule=sched, counts_per_point=counts)
         for seed in (-1, 1.5, "7"):
             with pytest.raises(ConfigError, match="seed"):
                 ExperimentConfig(dim=2, schedule=sched, rng_seed=seed)

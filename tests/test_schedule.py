@@ -133,6 +133,14 @@ class TestCustomSchedules:
         with pytest.raises(ScheduleError, match="finite"):
             PhaseSchedule(2, "custom", times=times, values=values)
 
+    def test_caller_arrays_copied(self):
+        times = np.array([0.0, 1.0])
+        values = np.array([[0.0, 0.0], [np.pi, -np.pi]])
+        sched = PhaseSchedule(2, "custom", times=times, values=values)
+        values[1, 0] = np.nan
+        times[1] = 0.5
+        np.testing.assert_array_equal(sched(1.0), [np.pi, -np.pi])
+
 
 class TestLoader:
     def test_round_trip_degrees(self, tmp_path):
