@@ -9,6 +9,7 @@ reference pattern taken without the phase schedule applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +22,14 @@ from .schedule import PhaseSchedule
 TWO_PI = 2.0 * np.pi
 MIN_VISIBILITY = 0.05
 RSS_REL_TOL = 1e-10
+STEP_REL_TOL = 1e-15
 MAX_ITERATIONS = 200
-PHASE_GRID_POINTS = 36
+MAX_HALVINGS = 8
+NOMINAL_FREQUENCY = 4.0
 MIN_POINTS = 8
 MIN_SPAN = np.pi / 2.0  # one fringe period at the nominal frequency a = 4
+# fit algorithm of the reports, in fit JSON and summary.json; 2 = variable projection
+FIT_VERSION = 2
 
 
 def fold_angle(x: float) -> float:
@@ -45,6 +50,8 @@ class FitResult:
     rss: float
     n_points: int
     b_defined: bool = True
+    iterations: int = 0
+    termination: str = "converged"
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -77,6 +84,9 @@ class FitResult:
             },
             "n_points": self.n_points,
             "b_defined": self.b_defined,
+            "fit_version": FIT_VERSION,
+            "iterations": self.iterations,
+            "termination": self.termination,
         }
 
 
@@ -108,15 +118,22 @@ def _canonicalize(p: np.ndarray) -> np.ndarray:
 
 
 def fit_fringe(scan: FringeScan) -> FitResult:
-    """Damped least-squares fit of the four-parameter fringe model.
+    """Variable-projection Gauss-Newton fit of the four-parameter fringe model.
 
-    Initial values: A = mean of the data, v from the raw (max-min)/(max+min)
-    contrast, a = 4, and b from a 36-point grid search.  Iterates a
-    Levenberg-Marquardt loop until the relative change of the residual sum
-    of squares drops below 1e-10 (at most 200 iterations).  The covariance
-    is the inverse Gauss-Newton normal matrix scaled by the residual
-    variance; flat data short-circuits to v = 0 with the phase flagged
-    undefined.
+    With the frequency a fixed the model is linear: c0 + c1 cos(a theta) +
+    c2 sin(a theta), with (c0, c1, c2) = (A, -A v cos b, A v sin b) (Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
+    least-squares solve at a = 4, which leaves no wrong phase basin to fall
+    into.  Gauss-Newton in (c0, c1, c2, a) then refines all four, halving a
+    step that does not lower the residual sum of squares (RSS) at most
+    ``MAX_HALVINGS`` times.  The loop stops when the relative RSS change drops
+    below ``RSS_REL_TOL`` ("converged"), when the relative step reaches the
+    floating-point floor ("step"), when no halving lowers the RSS or the
+    normal matrix is singular ("stalled"), or after ``MAX_ITERATIONS``
+    ("max-iterations").  The covariance is the inverse Gauss-Newton normal
+    matrix of (A, v, a, b) at the optimum scaled by the residual variance;
+    flat data short-circuits to v = 0 with the phase flagged undefined
+    ("flat").
     """
     theta = scan.thetas
     y = scan.values.astype(float)
@@ -131,52 +148,55 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     y_max, y_min = float(np.max(y)), float(np.min(y))
     if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):
         cov = np.zeros((4, 4))
-        return FitResult(float(np.mean(y)), 0.0, 4.0, 0.0, cov, 0.0, n, b_defined=False)
+        return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, cov, 0.0, n,
+                         b_defined=False, termination="flat")
 
-    amp0 = float(np.mean(y))
-    vis0 = (y_max - y_min) / (y_max + y_min) if (y_max + y_min) > 0.0 else 0.5
-    vis0 = min(max(vis0, 1e-3), 1.0)
-    freq0 = 4.0
-    b_grid = np.linspace(0.0, TWO_PI, PHASE_GRID_POINTS, endpoint=False)
-    trial = amp0 * (1.0 - vis0 * np.cos(freq0 * theta[:, None] + b_grid[None, :]))
-    phase0 = float(b_grid[np.argmin(np.sum((y[:, None] - trial) ** 2, axis=0))])
-
-    p = np.array([amp0, vis0, freq0, phase0])
-    rss = float(np.sum((y - _model(theta, p)) ** 2))
-    lam = 1e-3
-    for _ in range(MAX_ITERATIONS):
-        r = y - _model(theta, p)
-        jac = _jacobian(theta, p)
-        gn = jac.T @ jac
-        grad = jac.T @ r
-        damp = np.diag(gn).copy()
-        damp[damp <= 0.0] = 1.0
-        improved = False
-        while lam <= 1e12:
-            try:
-                step = np.linalg.solve(gn + lam * np.diag(damp), grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+    # jac holds [1, cos a theta, sin a theta, d model / d a] at the current point
+    jac = np.ones((n, 4))
+    jac[:, 1], jac[:, 2] = np.cos(NOMINAL_FREQUENCY * theta), np.sin(NOMINAL_FREQUENCY * theta)
+    basis = jac[:, :3]
+    p = np.append(np.linalg.lstsq(basis, y, rcond=None)[0], NOMINAL_FREQUENCY)
+    r = y - basis @ p[:3]
+    rss = float(r @ r)
+    termination = "max-iterations"
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        jac[:, 3] = theta * (p[2] * jac[:, 1] - p[1] * jac[:, 2])
+        try:
+            step = np.linalg.solve(jac.T @ jac, jac.T @ r)
+            step_sq = float(step @ step)
+        except np.linalg.LinAlgError:
+            step_sq = math.nan
+        if not math.isfinite(step_sq):  # a singular or non-finite normal matrix
+            termination = "stalled"
+            break
+        if step_sq <= STEP_REL_TOL**2 * float(p @ p):
+            termination = "step"
+            break
+        for _ in range(MAX_HALVINGS):
             p_try = p + step
-            rss_try = float(np.sum((y - _model(theta, p_try)) ** 2))
+            cos_try, sin_try = np.cos(p_try[3] * theta), np.sin(p_try[3] * theta)
+            r_try = y - (p_try[0] + p_try[1] * cos_try + p_try[2] * sin_try)
+            rss_try = float(r_try @ r_try)
             if rss_try < rss:
-                p, rss_prev, rss = p_try, rss, rss_try
-                lam = max(lam / 10.0, 1e-15)
-                improved = True
                 break
-            lam *= 10.0
-        if not improved:
+            step *= 0.5
+        else:
+            termination = "stalled"
             break
-        if rss == 0.0 or (rss_prev - rss) / max(rss_prev, 1e-300) < RSS_REL_TOL:
+        p, r, rss_prev, rss = p_try, r_try, rss, rss_try
+        jac[:, 1], jac[:, 2] = cos_try, sin_try
+        if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
+            termination = "converged"
             break
 
-    p = _canonicalize(p)
+    c0, c1, c2, freq = p
+    p = _canonicalize(np.array([c0, np.hypot(c1, c2) / c0, freq, np.arctan2(c2, -c1)]))
     jac = _jacobian(theta, p)
     dof = max(n - 4, 1)
     resid_var = float(np.sum((y - _model(theta, p)) ** 2)) / dof
     cov = np.linalg.pinv(jac.T @ jac) * resid_var
-    return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n)
+    return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n,
+                     iterations=iterations, termination=termination)
 
 
 def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:

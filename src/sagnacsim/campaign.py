@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import FitResult, fit_fringe, phase_shift
+from .analysis import FIT_VERSION, FitResult, fit_fringe, phase_shift
 from .errors import ConfigError
 from .plotting import render_campaign_svg
 from .sagnac import (
@@ -156,7 +156,8 @@ def run_campaign(spec: CampaignSpec) -> dict:
         svg_path.write_text(render_campaign_svg(panels, results))
         written.append(svg_path)
 
-        summary = {"schema_version": SCHEMA_VERSION, "mode": spec.mode, "results": results}
+        summary = {"schema_version": SCHEMA_VERSION, "fit_version": FIT_VERSION,
+                   "mode": spec.mode, "results": results}
         summary_path = out_dir / "summary.json"
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")
         return summary

@@ -2,13 +2,15 @@
 
 Angle flags and outputs are in degrees; everything internal is radians.
 Exit codes: 0 success, 1 analysis failure (for example low visibility or a
-failed verification), 2 usage or configuration error.
+failed verification), 2 usage or configuration error, 3 internal error (an
+unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -41,10 +43,13 @@ from .verify import run_verification
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 OUTDIR_ENV = "SAGNACSIM_OUTDIR"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sagnacsim",
         description="Simulate and analyze two-photon interference of path-encoded qudits",
@@ -188,6 +193,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: keep it apart from exits 1 and 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

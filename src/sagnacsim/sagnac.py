@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,8 +44,10 @@ def _theta_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
     The points are counted before anything is allocated; a grid of more than
     ``MAX_THETA_POINTS`` points is a ConfigError.
     """
-    if not (step_deg > 0.0 and stop_deg > start_deg):
-        raise ConfigError("invalid theta grid")
+    if not (all(map(math.isfinite, (start_deg, stop_deg, step_deg)))
+            and step_deg > 0.0 and stop_deg > start_deg):
+        raise ConfigError(f"invalid theta grid ({start_deg}, {stop_deg}, {step_deg} deg): "
+                          "need finite values, step > 0 and stop > start")
     stop = stop_deg + 1e-9
     if not (stop - start_deg) / step_deg <= MAX_THETA_POINTS:
         raise ConfigError(f"theta grid exceeds {MAX_THETA_POINTS} points")
@@ -159,8 +162,9 @@ class ExperimentConfig:
         counts = _integral(self.counts_per_point, "counts_per_point")
         if counts < 1:
             raise ConfigError("counts_per_point must be >= 1")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.rng_seed!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         if self.schedule.dim != self.dim:
             raise DimensionMismatchError(
                 f"schedule dimension {self.schedule.dim} != config dimension {self.dim}"

@@ -86,6 +86,13 @@ class TestSimulate:
         assert "100000 points" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--theta-step", "--theta-stop"])
+    def test_infinite_grid_bound_exits_2(self, tmp_path, capsys, flag):
+        assert run_cli("simulate", "--d", 2, "--t", 0, flag, "inf",
+                       "--out", tmp_path / "x.csv") == 2
+        assert "need finite values" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_matches_campaign_scan(self, tmp_path):
         fields = {"mode": "sampled", "seed": 4, "counts_per_point": 700, "contrast": 0.5,
                   "theta_start_deg": 3, "theta_step_deg": 2.5}
@@ -103,7 +110,7 @@ class TestSimulate:
 
 @pytest.mark.parametrize("field, value", [
     ("contrast", "x"), ("contrast", True), ("counts_per_point", "x"),
-    ("counts_per_point", 1000.5), ("dim", 2.7), ("seed", 1.5), ("bogus", 1),
+    ("counts_per_point", 1000.5), ("dim", 2.7), ("seed", 1.5), ("seed", True), ("bogus", 1),
 ])
 def test_bad_field_same_error_in_simulate_and_campaign(tmp_path, capsys, field, value):
     spec = {"dims": [value] if field == "dim" else [2], "mode": "exact",
@@ -179,6 +186,19 @@ class TestFit:
         assert run_cli("fit", scan) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_reports_do_not_share_state(self, tmp_path, capsys):
+        # one process, one cached parser: a --ref run leaves nothing for the next
+        ref = make_scan(tmp_path, "t0.csv", "--d", 3, "--t", 0, "--exact")
+        op = make_scan(tmp_path, "t1.csv", "--d", 3, "--t", 1, "--exact")
+        assert run_cli("fit", op, "--ref", ref, "--out", tmp_path / "with_ref.json") == 0
+        capsys.readouterr()
+        assert run_cli("fit", op) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"fit"}
+        assert report["fit"]["fit_version"] == 2
+        assert report["fit"]["termination"] in ("step", "converged")
+        assert "ref_fit" in json.loads((tmp_path / "with_ref.json").read_text())
+
     def test_report_to_file(self, tmp_path):
         scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
         out = tmp_path / "fit.json"
@@ -217,6 +237,8 @@ class TestCampaign:
                 assert (out_dir / f"scan_d{d}_t{t}.csv").exists()
                 assert (out_dir / f"scan_d{d}_t{t}.json").exists()
                 assert (out_dir / f"fit_d{d}_t{t}.json").exists()
+        assert summary["fit_version"] == 2
+        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 2
         # SVG must be well-formed XML with drawable content
         svg = ET.parse(out_dir / "campaign.svg").getroot()
         assert svg.tag.endswith("svg")
@@ -227,7 +249,7 @@ class TestCampaign:
         assert run_cli("campaign", path) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         entry = summary["results"][0]
-        assert entry["shift_deg"] == pytest.approx(122.322120134492, abs=1e-6)
+        assert entry["shift_deg"] == pytest.approx(122.322121970394, abs=1e-6)
         assert abs(entry["shift_deg"] - 120.0) <= 3.0 * entry["sigma_deg"]
 
     def test_empty_t_values_rejected(self, tmp_path, capsys):
@@ -311,6 +333,17 @@ class TestVerify:
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps(make_antisymmetric_mes(3).to_json_dict()))
         assert run_cli("verify", "--trials", 10, "--state", state_path) == 0
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    import sagnacsim.cli as cli_mod
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "_cmd_verify", broken)
+    assert run_cli("verify") == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_installed_entry_point():
