@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from .sagnac import (
     ExperimentConfig,
     FringeScan,
     _integral,
+    _natural,
+    _real,
     _theta_grid,
     generate_scan,
     load_json_object,
@@ -28,23 +31,60 @@ from .sagnac import (
 from .schedule import builtin_schedule, load_schedule
 
 
+def _path(value, what: str) -> str:
+    """A path given as a string or a path object, as a string."""
+    path = os.fspath(value) if isinstance(value, os.PathLike) else value
+    if isinstance(path, str):
+        return path
+    raise ConfigError(f"{what} must be a path, got {value!r}")
+
+
+def _optional(check):
+    return lambda value, what: None if value is None else check(value, what)
+
+
+def _items(check, kind: str):
+    """Check a list or tuple item by item with ``check``; gives a tuple."""
+    def check_items(value, what: str) -> tuple:
+        if isinstance(value, (list, tuple)):
+            try:
+                return tuple(check(item, what) for item in value)
+            except ConfigError:
+                pass
+        raise ConfigError(f"invalid campaign spec: {what} must list {kind}, got {value!r}")
+    return check_items
+
+
+def _checked(check, **default):
+    """A field that ``__post_init__`` replaces by ``check(value, field name)``."""
+    return field(metadata={"check": check}, **default)
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Declarative description of a multi-dimension campaign."""
+    """Declarative description of a multi-dimension campaign.
 
-    dims: tuple[int, ...]
-    mode: str = "exact"
-    t_values: tuple[float, ...] = (0.0, 0.5, 1.0)
-    theta_start_deg: float = DEFAULT_THETA_DEG[0]
-    theta_stop_deg: float = DEFAULT_THETA_DEG[1]
-    theta_step_deg: float = DEFAULT_THETA_DEG[2]
-    counts_per_point: int = DEFAULT_COUNTS
-    contrast: float = DEFAULT_CONTRAST
-    seed: int = 0
-    schedule_file: str | None = None
-    out_dir: str = "."
+    Every field is type-checked on construction, and a value of the wrong
+    type is a ConfigError naming the field.
+    """
+
+    dims: tuple[int, ...] = _checked(_items(_integral, "integers"))
+    mode: str = "exact"  # __post_init__ refuses all but two strings
+    t_values: tuple[float, ...] = _checked(_items(_real, "numbers"), default=(0.0, 0.5, 1.0))
+    theta_start_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[0])
+    theta_stop_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[1])
+    theta_step_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[2])
+    counts_per_point: int = _checked(_integral, default=DEFAULT_COUNTS)
+    contrast: float = _checked(_real, default=DEFAULT_CONTRAST)
+    seed: int = _checked(_natural, default=0)
+    schedule_file: str | None = _checked(_optional(_path), default=None)
+    out_dir: str = _checked(_path, default=".")
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check = f.metadata.get("check")
+            if check:
+                object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
         if not self.dims:
             raise ConfigError("campaign needs at least one dimension")
         if self.mode not in ("exact", "sampled"):
@@ -69,18 +109,8 @@ class CampaignSpec:
         extra = set(data) - known - {"schema_version"}
         if extra:
             raise ConfigError(f"unknown campaign spec fields: {sorted(extra)}")
-        kwargs = {k: v for k, v in data.items() if k in known}
         try:
-            if "dims" in kwargs:
-                kwargs["dims"] = tuple(_integral(d, "dim") for d in kwargs["dims"])
-            if "t_values" in kwargs:
-                kwargs["t_values"] = tuple(float(t) for t in kwargs["t_values"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                "invalid campaign spec: dims must list integers and t_values numbers"
-            ) from exc
-        try:
-            return cls(**kwargs)
+            return cls(**{k: v for k, v in data.items() if k in known})
         except TypeError as exc:
             raise ConfigError(f"invalid campaign spec: {exc}") from exc
 
@@ -115,8 +145,10 @@ def run_campaign(spec: CampaignSpec) -> dict:
     """Run every (d, t) scan, fit, summarize, and render the figure.
 
     Writes per-scan CSV + metadata, per-fit JSON, ``campaign.svg``, and
-    ``summary.json`` (written last).  A failure partway deletes whatever was
-    already written so no half-finished campaign is left behind.
+    ``summary.json`` (written last).  A failure partway deletes the files
+    this run had written so far.  Those may have replaced the results of an
+    earlier run in the same directory, which are then lost, and files of
+    that run that this one did not rewrite are left as they were.
     """
     # the shift needs a reference scan and a cyclic one; a single scan does not
     if 0.0 not in spec.t_values or 1.0 not in spec.t_values:

@@ -33,20 +33,19 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
+    # circles and polyline take coordinates already formatted by _coords
     def polyline(self, xs, ys, color, width=1.2, dash=None):
-        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x},{y}" for x, y in zip(xs, ys))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{extra}/>'
         )
 
-    def circle(self, x, y, r, color, fill=True):
+    def circles(self, xs, ys, r, color, fill=True):
         fill_attr = color if fill else "none"
-        self.parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.1f}" fill="{fill_attr}" '
-            f'stroke="{color}"/>'
-        )
+        tail = f'" r="{r:.1f}" fill="{fill_attr}" stroke="{color}"/>'  # the same for every circle
+        self.parts.extend(f'<circle cx="{x}" cy="{y}{tail}' for x, y in zip(xs, ys))
 
     def square(self, x, y, half, color):
         self.parts.append(
@@ -70,9 +69,15 @@ class _Canvas:
         )
 
 
+def _coords(pixels) -> list[str]:
+    values = np.asarray(pixels, dtype=float).tolist()
+    return ("%.1f " * len(values) % tuple(values)).split()  # one format call per column
+
+
 def _axis_map(lo, hi, pix_lo, pix_hi):
+    """Linear map from data to pixels, for a number or a whole array."""
     span = hi - lo if hi > lo else 1.0
-    return lambda v: pix_lo + (v - lo) / span * (pix_hi - pix_lo)
+    return lambda v: pix_lo + (np.asarray(v) - lo) / span * (pix_hi - pix_lo)
 
 
 def _fringe_panel(canvas: _Canvas, ox: float, oy: float, title: str, series: list[dict]):
@@ -102,13 +107,10 @@ def _fringe_panel(canvas: _Canvas, ox: float, oy: float, title: str, series: lis
 
     for idx, s in enumerate(series):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        xs = [to_x(v) for v in s["theta_deg"]]
-        ys = [to_y(v) for v in s["values"]]
-        for x, y in zip(xs, ys):
-            canvas.circle(x, y, 2.0, color)
+        xs, ys = _coords(to_x(s["theta_deg"])), _coords(to_y(s["values"]))
+        canvas.circles(xs, ys, 2.0, color)
         if s.get("curve_theta_deg") is not None:
-            cxs = [to_x(v) for v in s["curve_theta_deg"]]
-            cys = [to_y(v) for v in s["curve_values"]]
+            cxs, cys = _coords(to_x(s["curve_theta_deg"])), _coords(to_y(s["curve_values"]))
             canvas.polyline(cxs, cys, color, dash="4,3" if idx == 1 else None)
         else:
             canvas.polyline(xs, ys, color)
@@ -138,7 +140,8 @@ def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
 
     for s in shifts:
         x = to_x(s["dim"])
-        canvas.circle(x + 6, to_y(s["theory_deg"]), 4.0, "#888888", fill=False)
+        canvas.circles(_coords([x + 6]), _coords([to_y(s["theory_deg"])]), 4.0, "#888888",
+                       fill=False)
         y = to_y(s["shift_deg"])
         canvas.square(x, y, 4.0, "#cc2222")
         err = s.get("sigma_deg", 0.0) * 3.0

@@ -14,10 +14,10 @@ fringe scan over a grid of phase-shifter angles.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +63,23 @@ def _integral(value, what: str) -> int:
             isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _natural(value, what: str) -> int:
+    """``value`` as an int if it is a nonnegative integer (not a float); else ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    raise ConfigError(f"{what} must be a nonnegative integer, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a float if it is a real number a float can hold; else ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range, which JSON can give
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
@@ -155,16 +172,13 @@ class ExperimentConfig:
             raise ConfigError("theta grid must not be empty")
         if np.any(np.diff(grid) <= 0.0):
             raise ConfigError("theta grid must be strictly increasing")
-        if isinstance(self.contrast, bool) or not isinstance(self.contrast, numbers.Real):
-            raise ConfigError(f"contrast must be a number, got {self.contrast!r}")
-        if not 0.0 <= self.contrast <= 1.0:
+        contrast = _real(self.contrast, "contrast")
+        if not 0.0 <= contrast <= 1.0:
             raise ConfigError(f"contrast must be in [0, 1], got {self.contrast}")
         counts = _integral(self.counts_per_point, "counts_per_point")
         if counts < 1:
             raise ConfigError("counts_per_point must be >= 1")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        seed = _natural(self.rng_seed, "seed")
         if self.schedule.dim != self.dim:
             raise DimensionMismatchError(
                 f"schedule dimension {self.schedule.dim} != config dimension {self.dim}"
@@ -172,8 +186,9 @@ class ExperimentConfig:
         grid.setflags(write=False)
         object.__setattr__(self, "theta_grid", grid)
         # sidecars echo these; one type each keeps equal inputs byte-identical
-        object.__setattr__(self, "contrast", float(self.contrast))
+        object.__setattr__(self, "contrast", contrast)
         object.__setattr__(self, "counts_per_point", counts)
+        object.__setattr__(self, "rng_seed", seed)
 
 
 @dataclass(frozen=True)
@@ -254,39 +269,49 @@ def scan_metadata(cfg: ExperimentConfig, scan: FringeScan) -> dict:
 
 
 def write_scan(scan: FringeScan, path, metadata: dict | None = None) -> None:
-    """Write a scan as CSV (theta in degrees) plus a JSON metadata sidecar."""
+    """Write a scan as CSV (theta in degrees) plus a JSON metadata sidecar.
+
+    Lines end in ``\\r\\n``; theta is written with ``%.10g``, probabilities
+    with ``%.17g`` (they read back exactly) and counts as integers.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if scan.mode == "sampled":
-            writer.writerow(["theta_deg", "counts"])
-            for th, v in zip(scan.thetas, scan.values):
-                writer.writerow([f"{np.rad2deg(th):.10g}", int(v)])
-        else:
-            writer.writerow(["theta_deg", "probability"])
-            for th, v in zip(scan.thetas, scan.values):
-                writer.writerow([f"{np.rad2deg(th):.10g}", f"{v:.17g}"])
+    column, value_format = ("counts", "d") if scan.mode == "sampled" else ("probability", ".17g")
+    rows = "".join(f"{th:.10g},{v:{value_format}}\r\n" for th, v in
+                   zip(np.rad2deg(scan.thetas).tolist(), scan.values.tolist()))
+    path.write_text(f"theta_deg,{column}\r\n{rows}", newline="")
     if metadata is not None:
         sidecar = path.with_suffix(".json")
         sidecar.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
 
 
 def read_scan(path) -> tuple[FringeScan, dict | None]:
-    """Read a scan CSV written by ``write_scan``; returns (scan, metadata)."""
+    """Read a scan CSV written by ``write_scan``; returns (scan, metadata).
+
+    The header's first two columns must be ``theta_deg`` and ``counts`` or
+    ``probability``; every other line holds at least those two numbers, and
+    further columns are ignored.  Fields may be quoted with ``"``.  Any line
+    ending is accepted, and empty lines are skipped.  Anything else is a
+    ConfigError.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2 or rows[0][0] != "theta_deg" \
-            or rows[0][1] not in ("counts", "probability"):
+    with path.open() as fh:
+        try:
+            header = [cell.strip('"') for cell in fh.readline().rstrip("\n").split(",")]
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"corrupt scan data in {path}: {exc}") from exc
+    if header[0] != "theta_deg" or header[1:2] not in (["counts"], ["probability"]):
         raise ConfigError(f"{path} is not a fringe scan CSV")
-    mode = "sampled" if rows[0][1] == "counts" else "exact"
+    mode = "sampled" if header[1] == "counts" else "exact"
+    dtype = [("theta", float), ("value", np.int64 if mode == "sampled" else float)]
     try:
-        thetas = np.deg2rad(np.array([float(r[0]) for r in rows[1:]]))
-        if mode == "sampled":
-            values = np.array([int(r[1]) for r in rows[1:]])
-        else:
-            values = np.array([float(r[1]) for r in rows[1:]])
-    except (IndexError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # some numpy versions read "2.5" as the count 2, with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # loadtxt warns on input with no rows, so an empty body never reaches it
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
+                              usecols=(0, 1), ndmin=1) if any(lines) else np.empty(0, dtype)
+    except (ValueError, DeprecationWarning) as exc:
         raise ConfigError(f"corrupt scan data in {path}: {exc}") from exc
     metadata = None
     sidecar = path.with_suffix(".json")
@@ -296,7 +321,7 @@ def read_scan(path) -> tuple[FringeScan, dict | None]:
         t = float(metadata["t"]) if metadata and "t" in metadata else 0.0
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed t in scan sidecar {sidecar}: {exc}") from exc
-    return FringeScan(t, thetas, values, mode), metadata
+    return FringeScan(t, np.deg2rad(rows["theta"]), rows["value"], mode), metadata
 
 
 def load_json_object(path, what: str) -> dict:

@@ -136,7 +136,7 @@ def load_schedule(path) -> PhaseSchedule:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScheduleError(f"cannot read schedule file {path}: {exc}") from exc
     try:
         dim = int(data["dim"])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -30,7 +31,7 @@ class TestSimulate:
         printed = capsys.readouterr().out.strip()
         assert printed == str(out)
         rows = {float(r["theta_deg"]): float(r["probability"])
-                for r in csv.DictReader(out.open())}
+                for r in csv.DictReader(out.read_text().splitlines())}
         assert rows[15.0] == pytest.approx(0.25, abs=1e-12)
         meta = json.loads(out.with_suffix(".json").read_text())
         assert meta["dim"] == 3 and meta["t"] == 1.0 and meta["mode"] == "exact"
@@ -75,9 +76,17 @@ class TestSimulate:
         out = make_scan(tmp_path, "custom.csv", "--d", 2, "--t", 1, "--exact",
                         "--contrast", 1, "--schedule-file", sched)
         rows = {float(r["theta_deg"]): float(r["probability"])
-                for r in csv.DictReader(out.open())}
+                for r in csv.DictReader(out.read_text().splitlines())}
         # same endpoint as the builtin qubit schedule
         assert rows[0.0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_undecodable_schedule_file_exits_2(self, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        sched.write_bytes(b'\xff{"dim": 2}')
+        assert run_cli("simulate", "--d", 2, "--t", 0, "--schedule-file", sched,
+                       "--out", tmp_path / "x.csv") == 2
+        assert capsys.readouterr().err.startswith("error: cannot read schedule file")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 1.8e11 points: refused from the count, before any allocation
@@ -130,6 +139,34 @@ def test_bad_field_same_error_in_simulate_and_campaign(tmp_path, capsys, field, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, fields", [
+    ("campaign", {"t_values": [False, True]}),
+    ("campaign", {"t_values": "01"}),
+    ("campaign", {"t_values": [0, "0.5", 1]}),
+    ("campaign", {"dims": [True]}),
+    ("campaign", {"mode": 5}),
+    ("campaign", {"mode": ["exact"]}),
+    ("campaign", {"theta_step_deg": True}),
+    ("campaign", {"theta_stop_deg": 10 ** 400}),
+    ("campaign", {"seed": 1.0}),
+    ("campaign", {"schedule_file": 5}),
+    ("campaign", {"out_dir": 5}),
+    ("campaign", {"out_dir": None}),
+    ("simulate", {"t": True}),
+    ("simulate", {"schedule_file": 5}),
+    ("simulate", {"out_dir": 5}),
+])
+def test_field_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, command, fields):
+    monkeypatch.chdir(tmp_path)
+    base = {"dims": [2], "t_values": [0, 1]} if command == "campaign" else {"dim": 2, "t": 0}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**base, "mode": "exact", **fields}))
+    argv = [command, path] if command == "campaign" else [command, "--config", path]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestFit:
     def test_exact_ququart_shift(self, tmp_path, capsys):
         ref = make_scan(tmp_path, "t0.csv", "--d", 4, "--t", 0, "--exact")
@@ -166,6 +203,18 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("only,garbage\n1,2\n")
         assert run_cli("fit", bad) == 2
+
+    def test_undecodable_scan_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"theta_deg,counts\r\n0,\xff12\r\n")
+        assert run_cli("fit", bad) == 2
+        assert capsys.readouterr().err.startswith("error: corrupt scan data")
+
+    def test_header_only_scan_exits_1(self, tmp_path, capsys):
+        scan = tmp_path / "empty.csv"
+        scan.write_bytes(b"theta_deg,probability\r\n")
+        assert run_cli("fit", scan) == 1
+        assert "need at least 8 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sidecar", ['{"schema_version": 1, "dim": 2, "t": ', '[0.5, 1]'])
     def test_bad_sidecar_exits_2(self, tmp_path, capsys, sidecar):
@@ -251,6 +300,56 @@ class TestCampaign:
         entry = summary["results"][0]
         assert entry["shift_deg"] == pytest.approx(122.322121970394, abs=1e-6)
         assert abs(entry["shift_deg"] - 120.0) <= 3.0 * entry["sigma_deg"]
+
+    # sha256 of every output file, as written by the csv-module scan writer and the
+    # point-by-point SVG code that came before the column-wise ones
+    FROZEN_SHA256 = {
+        "exact": {
+            "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
+            "fit_d2_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
+            "fit_d2_t0.json": "39789933e52e9d32717d53d4b7f47d1e28ef9450d2fd52bad802b960b43c1536",
+            "fit_d2_t1.json": "092400384591912a40037a03064b053e6aa2974beed5d6a26df9586661e1c928",
+            "fit_d3_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
+            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
+            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
+            "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
+            "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
+            "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
+            "scan_d2_t0.json": "5ec931c76bd177fcf50ad7431f49ca400aa8b0102603d22b0dd3b0d13b4bc4eb",
+            "scan_d2_t1.csv": "e1cb97b409d8dd54de907b4a159068290304aa968de82a3e46680aeb594a822a",
+            "scan_d2_t1.json": "e6c9acf303bfec7c3216d7b30970fc99230e2087c5148b0da6b12dbd44398e84",
+            "scan_d3_t0.5.csv": "a598a812e732c8891d21019b3fb1f01315323a93615dd36f3dd8590d1c1618c9",
+            "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
+            "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
+            "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
+            "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
+            "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
+            "summary.json": "af49978d1c86a36d73bc1499e0c9e565c91ab3054f6cc3c29bd19104dc4a4cf2",
+        },
+        "sampled": {
+            "campaign.svg": "62399dbdb6bb49d0402535cc58534f09cf1e6fb0bd196ece06cc8b8b81517607",
+            "fit_d3_t0.25.json": "3bdafdad275b50637dc296586bcffc39688a54984d34a93aa32d38b0980b82d8",
+            "fit_d3_t0.json": "634b0f61ac23f443541a5ea24307fd9f9f03558d0aa302d7ad8b671df9e49c62",
+            "fit_d3_t1.json": "c17628044adbecd603f9a77f6f131cff2b55ee24d8485ce738c1443b0ea764eb",
+            "scan_d3_t0.25.csv": "3392e90a6ef98708f06a08567a00225d7b1a7cb428dfaaa92c6307a02c02016a",
+            "scan_d3_t0.25.json": "de134fb61974195c3456d8e52444a160e258513a59d268b082144382d3eed77e",
+            "scan_d3_t0.csv": "a5532a3e2260c7c85c31d2ad3b2e6190954935d8801e81c6e8ec2c219498df6e",
+            "scan_d3_t0.json": "918d5a9d0bc302a592bc801244a193ebddfc8dee458958f5cc5652f4f993c7d9",
+            "scan_d3_t1.csv": "a6b7ab39d91265150a90ee2367b9178f7d76bbbe5ce6e77677164680792e3e38",
+            "scan_d3_t1.json": "b65ab36fb694d0a55566fa8634bc270d4db62e5423d7eee887f5e09fa6b2ee2a",
+            "summary.json": "cdce7577036f77afcbb30c695cbefe5fb3776d915c2688c7305e469443ab9b7b",
+        },
+    }
+
+    @pytest.mark.parametrize("name, fields", [
+        ("exact", {"dims": [2, 3], "t_values": [0, 0.5, 1]}),
+        ("sampled", {"dims": [3], "mode": "sampled", "t_values": [0, 0.25, 1], "seed": 1}),
+    ])
+    def test_output_bytes_frozen(self, tmp_path, name, fields):
+        assert run_cli("campaign", self.write_spec(tmp_path, **fields)) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted((tmp_path / "out").iterdir())}
+        assert digests == self.FROZEN_SHA256[name]
 
     def test_empty_t_values_rejected(self, tmp_path, capsys):
         path = self.write_spec(tmp_path, t_values=[])
@@ -346,14 +445,29 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
-def test_installed_entry_point():
-    # the child imports the same package as this suite, installed or from src/
+def run_child(*argv):
+    # the child imports the same package as this suite, installed or from src/,
+    # and keeps Python's own warning filters, not this suite's
     package_root = str(Path(sagnacsim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sagnacsim.cli", "verify", "--trials", "5"],
+    return subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "sagnacsim.cli", *map(str, argv)],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_installed_entry_point():
+    proc = run_child("verify", "--trials", "5")
     assert proc.returncode == 0, proc.stderr
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize("count", ["2.5", "12.0"])
+def test_non_integral_count_exits_2_with_warnings_ignored(tmp_path, count):
+    # a parser that only warns on "2.5" would read it as 2 once warnings are ignored
+    scan = tmp_path / "bad.csv"
+    scan.write_text("theta_deg,counts\n" + "".join(f"{5 * i},{count}\n" for i in range(10)))
+    proc = run_child("fit", scan)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: corrupt scan data")

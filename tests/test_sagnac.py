@@ -1,3 +1,7 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +318,84 @@ class TestScanIO:
         path.with_suffix(".json").write_text(sidecar)
         with pytest.raises(ConfigError, match="sidecar"):
             read_scan(path)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_write_matches_csv_writer(self, tmp_path, mode):
+        # the csv module loop that wrote scans before, kept as the byte reference
+        cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=5,
+                               theta_grid=np.linspace(0.0, np.pi, 97))
+        scan = generate_scan(cfg, 0.25, mode=mode)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        if mode == "sampled":
+            writer.writerow(["theta_deg", "counts"])
+            for th, v in zip(scan.thetas, scan.values):
+                writer.writerow([f"{np.rad2deg(th):.10g}", int(v)])
+        else:
+            writer.writerow(["theta_deg", "probability"])
+            for th, v in zip(scan.thetas, scan.values):
+                writer.writerow([f"{np.rad2deg(th):.10g}", f"{v:.17g}"])
+        path = tmp_path / "scan.csv"
+        write_scan(scan, path)
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert read_scan(path)[0].values.tolist() == scan.values.tolist()
+
+    @pytest.mark.parametrize("body, match", [
+        (b"theta_deg,counts\r\n0,12\r\n5\r\n", "corrupt scan data"),  # ragged row
+        (b"theta_deg,counts\r\n0,twelve\r\n", "corrupt scan data"),
+        (b"theta_deg,probability\r\nzero,0.5\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,2.5\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,12.0\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,12 # note\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,12\r\n \r\n5,13\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,99999999999999999999\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,\xff12\r\n", "corrupt scan data"),
+        (b"\xfftheta_deg,counts\r\n0,12\r\n", "corrupt scan data"),
+        (b"theta_deg,counts\r\n0,-3\r\n", "nonnegative"),
+        (b"theta_deg,probability\r\n0,1.5\r\n", r"\[0, 1\]"),
+        (b"theta_deg,counts\r\n5,1\r\n0,2\r\n", "strictly increasing"),
+        (b"", "not a fringe scan"),
+        (b"theta,counts\r\n0,12\r\n", "not a fringe scan"),
+        (b"theta_deg\r\n0\r\n", "not a fringe scan"),
+        (b"theta_deg,counts \r\n0,12\r\n", "not a fringe scan"),
+    ])
+    def test_read_rejects(self, tmp_path, body, match):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match=match):
+            read_scan(path)
+
+    @pytest.mark.parametrize("count", [b"2.5", b"12.0", b"99999999999999999999"])
+    def test_read_rejects_non_integral_count_with_warnings_ignored(self, tmp_path, count):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(b"theta_deg,counts\r\n0," + count + b"\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConfigError, match="corrupt scan data"):
+                read_scan(path)
+
+    @pytest.mark.parametrize("body, theta_deg, values", [
+        (b"theta_deg,counts,note\r\n0,12,a\r\n5,13\r\n", [0.0, 5.0], [12, 13]),
+        (b"theta_deg,counts\r\n\r\n0,12\r\n\r\n5,13\r\n\r\n", [0.0, 5.0], [12, 13]),
+        (b"theta_deg,counts\n0,12\n5,13", [0.0, 5.0], [12, 13]),
+        (b"theta_deg,counts\r0,12\r5,13\r", [0.0, 5.0], [12, 13]),
+        (b"theta_deg,counts\r\n 0 , +12 \r\n", [0.0], [12]),
+        (b"theta_deg,probability\r\n0,1e-3\r\n2.5,0.5\r\n", [0.0, 2.5], [0.001, 0.5]),
+        (b'theta_deg,counts\r\n"0","12"\r\n', [0.0], [12]),
+        (b'"theta_deg","counts"\r\n"0","12","a,b"\r\n', [0.0], [12]),
+        (b"theta_deg,probability\r\n", [], []),
+        (b"theta_deg,probability\r\n\r\n", [], []),
+    ])
+    def test_read_accepts(self, tmp_path, body, theta_deg, values):
+        # extra columns are ignored and empty lines skipped; a header alone is an empty scan
+        path = tmp_path / "scan.csv"
+        path.write_bytes(body)
+        scan, meta = read_scan(path)
+        assert meta is None and scan.t == 0.0
+        assert scan.mode == ("sampled" if b"counts" in body else "exact")
+        assert np.rad2deg(scan.thetas).tolist() == pytest.approx(theta_deg, abs=1e-12)
+        assert scan.values.tolist() == values
 
     def test_read_rejects_corrupt_rows(self, tmp_path):
         path = tmp_path / "corrupt.csv"
