@@ -144,59 +144,47 @@ def _fit_curve(fit: FitResult, theta_deg: np.ndarray) -> tuple[np.ndarray, np.nd
 def run_campaign(spec: CampaignSpec) -> dict:
     """Run every (d, t) scan, fit, summarize, and render the figure.
 
-    Writes per-scan CSV + metadata, per-fit JSON, ``campaign.svg``, and
-    ``summary.json`` (written last).  A failure partway deletes the files
-    this run had written so far.  Those may have replaced the results of an
-    earlier run in the same directory, which are then lost, and files of
-    that run that this one did not rewrite are left as they were.
+    Everything is computed in memory before anything is written: a run that
+    fails in the model, a fit or the figure leaves ``out_dir`` as it was.
+    Then ``out_dir`` gets the per-scan CSV + metadata, the per-fit JSON,
+    ``campaign.svg`` and, last, ``summary.json``.  Only a failing write (a
+    full disk, say) can leave part of a run behind, and never a new summary.
     """
     # the shift needs a reference scan and a cyclic one; a single scan does not
     if 0.0 not in spec.t_values or 1.0 not in spec.t_values:
         raise ConfigError("t values must include 0 (reference) and 1 (cyclic)")
     configs = [_experiment_config(spec, d) for d in spec.dims]
+    outputs = []
+    results = []
+    panels = []
+    for d, cfg in zip(spec.dims, configs):
+        fits: dict[float, FitResult] = {}
+        series = []
+        for t in spec.t_values:
+            scan = generate_scan(cfg, t, mode=spec.mode)
+            fit = fits[t] = fit_fringe(scan)
+            outputs.append((f"d{d}_t{t:g}", cfg, scan, fit))
+            series.append(_panel_series(scan, fit, t))
+        shift, sigma = phase_shift(fits[0.0], fits[1.0])
+        results.append({
+            "dim": d,
+            "shift_deg": float(np.rad2deg(shift)),
+            "sigma_deg": float(np.rad2deg(sigma)),
+            "theory_deg": 360.0 / d,
+        })
+        panels.append({"title": f"d = {d} ({spec.mode})", "series": series})
+    svg = render_campaign_svg(panels, results)
+    summary = {"schema_version": SCHEMA_VERSION, "fit_version": FIT_VERSION,
+               "mode": spec.mode, "results": results}
+
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        results = []
-        panels = []
-        for d, cfg in zip(spec.dims, configs):
-            fits: dict[float, FitResult] = {}
-            series = []
-            for t in spec.t_values:
-                scan = generate_scan(cfg, t, mode=spec.mode)
-                stem = f"scan_d{d}_t{t:g}"
-                csv_path = out_dir / f"{stem}.csv"
-                write_scan(scan, csv_path, scan_metadata(cfg, scan))
-                written += [csv_path, csv_path.with_suffix(".json")]
-                fit = fit_fringe(scan)
-                fits[t] = fit
-                fit_path = out_dir / f"fit_d{d}_t{t:g}.json"
-                fit_path.write_text(json.dumps(fit.to_json_dict(), indent=2) + "\n")
-                written.append(fit_path)
-                series.append(_panel_series(scan, fit, t))
-            shift, sigma = phase_shift(fits[0.0], fits[1.0])
-            results.append({
-                "dim": d,
-                "shift_deg": float(np.rad2deg(shift)),
-                "sigma_deg": float(np.rad2deg(sigma)),
-                "theory_deg": 360.0 / d,
-            })
-            panels.append({"title": f"d = {d} ({spec.mode})", "series": series})
-
-        svg_path = out_dir / "campaign.svg"
-        svg_path.write_text(render_campaign_svg(panels, results))
-        written.append(svg_path)
-
-        summary = {"schema_version": SCHEMA_VERSION, "fit_version": FIT_VERSION,
-                   "mode": spec.mode, "results": results}
-        summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-        return summary
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    for name, cfg, scan, fit in outputs:
+        write_scan(scan, out_dir / f"scan_{name}.csv", scan_metadata(cfg, scan))
+        (out_dir / f"fit_{name}.json").write_text(json.dumps(fit.to_json_dict(), indent=2) + "\n")
+    (out_dir / "campaign.svg").write_text(svg)
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
 
 
 def _panel_series(scan: FringeScan, fit: FitResult, t: float) -> dict:

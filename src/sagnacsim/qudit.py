@@ -7,11 +7,12 @@ complex matrix of amplitudes ``alpha[m, n]`` for the signal photon in slit
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDimensionError, NormalizationError
+from .errors import ConfigError, DimensionMismatchError, InvalidDimensionError, NormalizationError
 
 NORM_TOL = 1e-12
 
@@ -36,7 +37,7 @@ class BipartiteQuditState:
                 f"amplitude matrix must be {self.dim}x{self.dim}, got {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude fails too
             raise NormalizationError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e} (tol {NORM_TOL})"
             )
@@ -53,8 +54,19 @@ class BipartiteQuditState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartiteQuditState":
-        amps = np.asarray(data["real"], dtype=float) + 1j * np.asarray(data["imag"], dtype=float)
-        return cls(int(data["dim"]), amps)
+        """Read {dim, real, imag}; a missing or malformed field is a ConfigError."""
+        dim = data.get("dim")
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+            raise ConfigError(f"state dim must be an integer, got {dim!r}")
+        try:
+            real, imag = (np.asarray(data[key], dtype=float) for key in ("real", "imag"))
+        except KeyError as exc:
+            raise ConfigError(f"state has no {exc} amplitudes") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"state amplitudes must be arrays of numbers: {exc}") from exc
+        if real.shape != imag.shape:
+            raise ConfigError(f"state real {real.shape} and imag {imag.shape} shapes differ")
+        return cls(int(dim), real + 1j * imag)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ DEFAULT_THETA_DEG = (0.0, 180.0, 5.0)
 DEFAULT_COUNTS = 1000
 DEFAULT_CONTRAST = 0.35
 MAX_THETA_POINTS = 100_000
+# numpy's Poisson draw refuses a mean above ~9.2e18; p' <= 1 keeps the mean below this
+MAX_COUNTS = 10**18
 SCHEMA_VERSION = 1
 # RNG layout of sampled scans, in their sidecars; 2 = one stream per (seed, dim, t)
 STREAM_VERSION = 2
@@ -176,8 +178,8 @@ class ExperimentConfig:
         if not 0.0 <= contrast <= 1.0:
             raise ConfigError(f"contrast must be in [0, 1], got {self.contrast}")
         counts = _integral(self.counts_per_point, "counts_per_point")
-        if counts < 1:
-            raise ConfigError("counts_per_point must be >= 1")
+        if not 1 <= counts <= MAX_COUNTS:
+            raise ConfigError(f"counts_per_point must be in [1, {MAX_COUNTS:.0e}]")
         seed = _natural(self.rng_seed, "seed")
         if self.schedule.dim != self.dim:
             raise DimensionMismatchError(
@@ -328,7 +330,7 @@ def load_json_object(path, what: str) -> dict:
     """Read a JSON object from ``path``; any failure is a ConfigError naming ``what``."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an overlong integer
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")

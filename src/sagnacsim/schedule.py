@@ -136,15 +136,20 @@ def load_schedule(path) -> PhaseSchedule:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an overlong integer
         raise ScheduleError(f"cannot read schedule file {path}: {exc}") from exc
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         raw = data["breakpoints"]
         times = np.array([row[0] for row in raw], dtype=float)
         values = np.deg2rad(np.array([row[1] for row in raw], dtype=float))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule file {path}: {exc}") from exc
+    # the row width is an int, so this refuses a fractional, infinite or string dim
+    if values.ndim != 2 or dim != values.shape[1]:
+        raise ScheduleError(
+            f"malformed schedule file {path}: dim {dim!r} does not match the phase rows"
+        )
     schedule = PhaseSchedule(dim, "custom", times=times, values=values)
     if not check_su(schedule, 1001):
         raise ScheduleError(f"schedule in {path} violates the SU(d) phase-sum condition")

@@ -88,6 +88,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: cannot read schedule file")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("dim", ["2.7", "1e400", '"2"'])
+    def test_non_integer_schedule_dim_exits_2(self, tmp_path, capsys, dim):
+        sched = tmp_path / "sched.json"
+        sched.write_text(f'{{"dim": {dim}, "breakpoints": [[0, [0, 0]], [1, [180, -180]]]}}')
+        assert run_cli("simulate", "--d", 2, "--t", 1, "--schedule-file", sched,
+                       "--out", tmp_path / "out" / "x.csv") == 2
+        assert capsys.readouterr().err.startswith("error: malformed schedule file")
+        assert not (tmp_path / "out").exists()
+
+    def test_counts_beyond_ceiling_exits_2(self, tmp_path, capsys):
+        assert run_cli("simulate", "--d", 2, "--t", 0, "--counts", 10 ** 20,
+                       "--out", tmp_path / "out" / "x.csv") == 2
+        assert capsys.readouterr().err.startswith("error: counts_per_point")
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 1.8e11 points: refused from the count, before any allocation
         assert run_cli("simulate", "--d", 2, "--t", 0, "--theta-step", 1e-9,
@@ -394,6 +409,49 @@ class TestCampaign:
         assert run_cli("campaign", path, "--out", other) == 0
         assert (other / "summary.json").exists()
 
+    @staticmethod
+    def tree_digest(root: Path) -> str:
+        """sha256 over the relative path and bytes of every file under ``root``."""
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*")):
+            digest.update(str(path.relative_to(root)).encode() + b"\0")
+            if path.is_file():
+                digest.update(path.read_bytes())
+        return digest.hexdigest()
+
+    def test_failed_rerun_leaves_outputs_unchanged(self, tmp_path, capsys):
+        assert run_cli("campaign", self.write_spec(tmp_path, dims=[2, 3], t_values=[0, 1])) == 0
+        before = self.tree_digest(tmp_path / "out")
+        path = self.write_spec(tmp_path, dims=[2, 3], t_values=[0, 1], contrast=0)
+        assert run_cli("campaign", path) == 1
+        assert "visibility" in capsys.readouterr().err
+        assert self.tree_digest(tmp_path / "out") == before
+
+    def test_render_failure_leaves_outputs_unchanged(self, tmp_path, monkeypatch, capsys):
+        import sagnacsim.campaign as campaign_mod
+
+        path = self.write_spec(tmp_path, dims=[2, 3])
+        assert run_cli("campaign", path) == 0
+        before = self.tree_digest(tmp_path / "out")
+
+        def broken(panels, results):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(campaign_mod, "render_campaign_svg", broken)
+        assert run_cli("campaign", path) == 3
+        assert capsys.readouterr().err.endswith("RuntimeError: boom\n")
+        assert self.tree_digest(tmp_path / "out") == before
+
+    def test_failing_first_run_creates_nothing(self, tmp_path):
+        assert run_cli("campaign", self.write_spec(tmp_path, contrast=0)) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_counts_beyond_ceiling_exits_2(self, tmp_path, capsys):
+        path = self.write_spec(tmp_path, dims=[2], mode="sampled", counts_per_point=1e300)
+        assert run_cli("campaign", path) == 2
+        assert capsys.readouterr().err.startswith("error: counts_per_point")
+        assert not (tmp_path / "out").exists()
+
     def test_failure_cleans_outputs(self, tmp_path, monkeypatch):
         import sagnacsim.campaign as campaign_mod
 
@@ -432,6 +490,24 @@ class TestVerify:
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps(make_antisymmetric_mes(3).to_json_dict()))
         assert run_cli("verify", "--trials", 10, "--state", state_path) == 0
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2}',
+        '{"dim": 2, "real": "x", "imag": "x"}',
+        '{"dim": "2", "real": [[0, 1], [0, 0]], "imag": [[0, 0], [0, 0]]}',
+        '{"dim": 2.9, "real": [[0, 1], [0, 0]], "imag": [[0, 0], [0, 0]]}',
+        '{"dim": true, "real": [[0, 1], [0, 0]], "imag": [[0, 0], [0, 0]]}',
+        '{"dim": 2, "real": [[0, 1], [0, 0]], "imag": [0, 0]}',
+        '{"dim": 2, "real": [[NaN, 1], [0, 0]], "imag": [[0, 0], [0, 0]]}',
+        '{"dim": ' + "2" * 5000 + "}",
+    ], ids=["no-real", "string-real", "string-dim", "float-dim", "bool-dim", "imag-shape",
+            "nan-amplitude", "overlong-int"])
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, text):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(text)
+        assert run_cli("verify", "--trials", 10, "--state", state_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from sagnacsim import (
     read_scan,
     write_scan,
 )
-from sagnacsim.sagnac import scan_metadata
+from sagnacsim.sagnac import MAX_COUNTS, scan_metadata
 from sagnacsim.verify import random_state
 
 
@@ -145,7 +145,7 @@ class TestExperimentConfig:
         for contrast in ("x", True, None):
             with pytest.raises(ConfigError, match="contrast"):
                 ExperimentConfig(dim=2, schedule=sched, contrast=contrast)
-        for counts in ("x", 1000.5, True, np.nan):
+        for counts in ("x", 1000.5, True, np.nan, MAX_COUNTS + 1):
             with pytest.raises(ConfigError, match="counts_per_point"):
                 ExperimentConfig(dim=2, schedule=sched, counts_per_point=counts)
         for seed in (-1, 1.5, "7"):
@@ -263,6 +263,12 @@ class TestGenerateScan:
         exact = generate_scan(cfg, 0.0, mode="exact")
         rel = scan.values / cfg.counts_per_point
         assert np.max(np.abs(rel - exact.values)) < 0.01
+
+    def test_sampled_at_count_ceiling(self):
+        # numpy's Poisson draw refuses a mean above ~9.2e18; the ceiling stays below it
+        cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2), counts_per_point=MAX_COUNTS,
+                               contrast=1.0)
+        assert np.max(generate_scan(cfg, 0.0).values) > MAX_COUNTS // 2
 
     def test_t_out_of_range(self):
         cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2))
