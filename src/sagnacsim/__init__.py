@@ -27,14 +27,7 @@ from .errors import (
     ScheduleError,
 )
 from .jones import compose, hwp, phase_shifter, qwp, relative_phase
-from .qudit import (
-    BipartiteQuditState,
-    DiagonalPhaseOp,
-    apply_signal_phases,
-    i_concurrence,
-    inner_product,
-    make_antisymmetric_mes,
-)
+from .qudit import BipartiteQuditState, i_concurrence, make_antisymmetric_mes
 from .sagnac import (
     ExperimentConfig,
     FringeScan,
@@ -55,7 +48,6 @@ __all__ = [
     "CampaignSpec",
     "ConfigError",
     "DegenerateLoopError",
-    "DiagonalPhaseOp",
     "DimensionMismatchError",
     "ExperimentConfig",
     "FitError",
@@ -69,7 +61,6 @@ __all__ = [
     "PhaseSchedule",
     "SagnacsimError",
     "ScheduleError",
-    "apply_signal_phases",
     "builtin_schedule",
     "check_su",
     "circuit_oracle",
@@ -81,7 +72,6 @@ __all__ = [
     "generate_scan",
     "hwp",
     "i_concurrence",
-    "inner_product",
     "kinematic_phase",
     "load_campaign_spec",
     "load_schedule",

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import FIT_VERSION, FitResult, fit_fringe, phase_shift
-from .errors import ConfigError
+from .errors import ConfigError, _integral, _items, _optional, _path, _real, load_json_object
 from .plotting import render_campaign_svg
 from .sagnac import (
     DEFAULT_CONTRAST,
@@ -19,44 +18,16 @@ from .sagnac import (
     SCHEMA_VERSION,
     ExperimentConfig,
     FringeScan,
-    _integral,
-    _natural,
-    _real,
     _theta_grid,
     generate_scan,
-    load_json_object,
     scan_metadata,
     write_scan,
 )
 from .schedule import builtin_schedule, load_schedule
 
 
-def _path(value, what: str) -> str:
-    """A path given as a string or a path object, as a string."""
-    path = os.fspath(value) if isinstance(value, os.PathLike) else value
-    if isinstance(path, str):
-        return path
-    raise ConfigError(f"{what} must be a path, got {value!r}")
-
-
-def _optional(check):
-    return lambda value, what: None if value is None else check(value, what)
-
-
-def _items(check, kind: str):
-    """Check a list or tuple item by item with ``check``; gives a tuple."""
-    def check_items(value, what: str) -> tuple:
-        if isinstance(value, (list, tuple)):
-            try:
-                return tuple(check(item, what) for item in value)
-            except ConfigError:
-                pass
-        raise ConfigError(f"invalid campaign spec: {what} must list {kind}, got {value!r}")
-    return check_items
-
-
 def _checked(check, **default):
-    """A field that ``__post_init__`` replaces by ``check(value, field name)``."""
+    """A field that ``__post_init__`` replaces by ``check(value, what)``, ``what`` naming it."""
     return field(metadata={"check": check}, **default)
 
 
@@ -65,7 +36,10 @@ class CampaignSpec:
     """Declarative description of a multi-dimension campaign.
 
     Every field is type-checked on construction, and a value of the wrong
-    type is a ConfigError naming the field.
+    type is a ConfigError naming the field.  ``contrast``, ``counts_per_point``
+    and ``seed`` are the exception: ``ExperimentConfig`` checks them, with
+    the same checkers, when a run builds its configs, before anything is
+    written.
     """
 
     dims: tuple[int, ...] = _checked(_items(_integral, "integers"))
@@ -74,9 +48,9 @@ class CampaignSpec:
     theta_start_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[0])
     theta_stop_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[1])
     theta_step_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[2])
-    counts_per_point: int = _checked(_integral, default=DEFAULT_COUNTS)
-    contrast: float = _checked(_real, default=DEFAULT_CONTRAST)
-    seed: int = _checked(_natural, default=0)
+    counts_per_point: int = DEFAULT_COUNTS
+    contrast: float = DEFAULT_CONTRAST
+    seed: int = 0
     schedule_file: str | None = _checked(_optional(_path), default=None)
     out_dir: str = _checked(_path, default=".")
 
@@ -84,7 +58,8 @@ class CampaignSpec:
         for f in fields(self):
             check = f.metadata.get("check")
             if check:
-                object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
+                what = f"invalid campaign spec: {f.name}"
+                object.__setattr__(self, f.name, check(getattr(self, f.name), what))
         if not self.dims:
             raise ConfigError("campaign needs at least one dimension")
         if self.mode not in ("exact", "sampled"):

@@ -26,6 +26,7 @@ from .errors import (
     FitError,
     LowVisibilityError,
     SagnacsimError,
+    load_json_object,
 )
 from .qudit import BipartiteQuditState
 from .sagnac import (
@@ -33,7 +34,6 @@ from .sagnac import (
     DEFAULT_COUNTS,
     DEFAULT_THETA_DEG,
     generate_scan,
-    load_json_object,
     read_scan,
     scan_metadata,
     write_scan,
@@ -187,10 +187,7 @@ def main(argv=None) -> int:
     except (LowVisibilityError, FitError, DegenerateLoopError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except SagnacsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SagnacsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not bad input: keep it apart from exits 1 and 2

@@ -7,12 +7,19 @@ complex matrix of amplitudes ``alpha[m, n]`` for the signal photon in slit
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidDimensionError, NormalizationError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InvalidDimensionError,
+    NormalizationError,
+    _items,
+    _natural,
+    _real,
+)
 
 NORM_TOL = 1e-12
 
@@ -55,34 +62,13 @@ class BipartiteQuditState:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartiteQuditState":
         """Read {dim, real, imag}; a missing or malformed field is a ConfigError."""
-        dim = data.get("dim")
-        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
-            raise ConfigError(f"state dim must be an integer, got {dim!r}")
-        try:
-            real, imag = (np.asarray(data[key], dtype=float) for key in ("real", "imag"))
-        except KeyError as exc:
-            raise ConfigError(f"state has no {exc} amplitudes") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"state amplitudes must be arrays of numbers: {exc}") from exc
-        if real.shape != imag.shape:
-            raise ConfigError(f"state real {real.shape} and imag {imag.shape} shapes differ")
-        return cls(int(dim), real + 1j * imag)
-
-
-@dataclass(frozen=True)
-class DiagonalPhaseOp:
-    """Diagonal phase operation exp(i*xi_k) applied per slit mode."""
-
-    dim: int
-    phases: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        phases = tuple(float(p) for p in self.phases)
-        if len(phases) != self.dim:
-            raise DimensionMismatchError(
-                f"expected {self.dim} phases, got {len(phases)}"
-            )
-        object.__setattr__(self, "phases", phases)
+        dim = _natural(data.get("dim"), "state dim")
+        rows = _items(_items(_real, "numbers"), "rows of numbers")
+        real, imag = (rows(data.get(key), f"state {key}") for key in ("real", "imag"))
+        for key, part in (("real", real), ("imag", imag)):
+            if len(part) != dim or any(len(row) != dim for row in part):
+                raise ConfigError(f"state {key} must be {dim} rows of {dim} numbers")
+        return cls(dim, np.array(real) + 1j * np.array(imag))
 
 
 def make_antisymmetric_mes(d: int) -> BipartiteQuditState:
@@ -104,24 +90,3 @@ def i_concurrence(state: BipartiteQuditState) -> float:
     rho = a @ a.conj().T  # reduced density matrix of the signal photon
     purity = float(np.sum(np.abs(rho) ** 2))
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
-
-
-def apply_signal_phases(state: BipartiteQuditState, op: DiagonalPhaseOp) -> BipartiteQuditState:
-    """Multiply row m of the amplitude matrix by exp(i*xi_m).
-
-    Models the programmable mirror acting on the signal photon's slit modes;
-    the idler index is untouched and the norm is preserved.
-    """
-    if op.dim != state.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {op.dim} != state dimension {state.dim}"
-        )
-    factors = np.exp(1j * np.asarray(op.phases))
-    return BipartiteQuditState(state.dim, factors[:, None] * state.amplitudes)
-
-
-def inner_product(a: BipartiteQuditState, b: BipartiteQuditState) -> complex:
-    """Hilbert-Schmidt inner product <a|b> = sum conj(a_mn) b_mn."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -16,14 +16,21 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, ScheduleError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    ScheduleError,
+    _integral,
+    _natural,
+    _real,
+    load_json_object,
+)
 from .jones import hwp, phase_shifter
 from .qudit import BipartiteQuditState, make_antisymmetric_mes
 from .schedule import PhaseSchedule
@@ -57,31 +64,6 @@ def _theta_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
 
 
 DEFAULT_THETA_GRID = _theta_grid(*DEFAULT_THETA_DEG)
-
-
-def _integral(value, what: str) -> int:
-    """``value`` as an int if it is an integer or an integral float; else ConfigError."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)) or (
-            isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
-def _natural(value, what: str) -> int:
-    """``value`` as an int if it is a nonnegative integer (not a float); else ConfigError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
-        return int(value)
-    raise ConfigError(f"{what} must be a nonnegative integer, got {value!r}")
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a float if it is a real number a float can hold; else ConfigError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond the float range, which JSON can give
-            pass
-    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
@@ -319,19 +301,7 @@ def read_scan(path) -> tuple[FringeScan, dict | None]:
     sidecar = path.with_suffix(".json")
     if sidecar.exists():
         metadata = load_json_object(sidecar, "scan sidecar")
-    try:
-        t = float(metadata["t"]) if metadata and "t" in metadata else 0.0
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed t in scan sidecar {sidecar}: {exc}") from exc
+    t = 0.0
+    if metadata and "t" in metadata:
+        t = _real(metadata["t"], f"t in scan sidecar {sidecar}")
     return FringeScan(t, np.deg2rad(rows["theta"]), rows["value"], mode), metadata
-
-
-def load_json_object(path, what: str) -> dict:
-    """Read a JSON object from ``path``; any failure is a ConfigError naming ``what``."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an overlong integer
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object")
-    return data

@@ -10,12 +10,16 @@ user-supplied breakpoints.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
-from .errors import InvalidDimensionError, ScheduleError
+from .errors import (
+    InvalidDimensionError,
+    ScheduleError,
+    _integral,
+    _items,
+    _real,
+    load_json_object,
+)
 
 SU_TOL = 1e-12
 BUILTIN_DIMS = (2, 3, 4)
@@ -134,18 +138,16 @@ def load_schedule(path) -> PhaseSchedule:
     Phases are stored in degrees on disk and converted to radians here.  The
     loader rejects unsorted times and any SU(d) or xi(0)=0 violation.
     """
+    data = load_json_object(path, "schedule file", ScheduleError)
+    reals = _items(_real, "numbers")
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON, an overlong integer
-        raise ScheduleError(f"cannot read schedule file {path}: {exc}") from exc
-    try:
-        dim = data["dim"]
+        dim = _integral(data.get("dim"), "dim")
         raw = data["breakpoints"]
-        times = np.array([row[0] for row in raw], dtype=float)
-        values = np.deg2rad(np.array([row[1] for row in raw], dtype=float))
+        times = np.array(reals([row[0] for row in raw], "breakpoint times"))
+        values = np.deg2rad(np.array([reals(row[1], "breakpoint phases") for row in raw]))
+    # a ValueError is a ConfigError from the checks, or ragged phase rows
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule file {path}: {exc}") from exc
-    # the row width is an int, so this refuses a fractional, infinite or string dim
     if values.ndim != 2 or dim != values.shape[1]:
         raise ScheduleError(
             f"malformed schedule file {path}: dim {dim!r} does not match the phase rows"

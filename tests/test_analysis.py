@@ -3,23 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import circular_diff
+from _helpers import DiagonalPhaseOp, apply_signal_phases, circular_diff, inner_product
 from sagnacsim import (
     BipartiteQuditState,
     DegenerateLoopError,
-    DiagonalPhaseOp,
     ExperimentConfig,
     FitError,
     FitResult,
     FringeScan,
     LowVisibilityError,
     PhaseSchedule,
-    apply_signal_phases,
     builtin_schedule,
     fit_fringe,
     fold_angle,
     generate_scan,
-    inner_product,
     kinematic_phase,
     make_antisymmetric_mes,
     phase_shift,

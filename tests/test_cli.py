@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import sagnacsim
+from sagnacsim import CampaignSpec, make_antisymmetric_mes
 from sagnacsim.cli import main
 
 
@@ -92,6 +95,19 @@ class TestSimulate:
     def test_non_integer_schedule_dim_exits_2(self, tmp_path, capsys, dim):
         sched = tmp_path / "sched.json"
         sched.write_text(f'{{"dim": {dim}, "breakpoints": [[0, [0, 0]], [1, [180, -180]]]}}')
+        assert run_cli("simulate", "--d", 2, "--t", 1, "--schedule-file", sched,
+                       "--out", tmp_path / "out" / "x.csv") == 2
+        assert capsys.readouterr().err.startswith("error: malformed schedule file")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("breakpoints", [
+        '[["0", [0, 0]], ["1", [180, -180]]]',
+        '[[false, [0, 0]], [true, [180, -180]]]',
+        '[[0, ["0", "0"]], [1, ["180", "-180"]]]',
+    ], ids=["string-times", "bool-times", "string-phases"])
+    def test_non_numeric_schedule_breakpoint_exits_2(self, tmp_path, capsys, breakpoints):
+        sched = tmp_path / "sched.json"
+        sched.write_text(f'{{"dim": 2, "breakpoints": {breakpoints}}}')
         assert run_cli("simulate", "--d", 2, "--t", 1, "--schedule-file", sched,
                        "--out", tmp_path / "out" / "x.csv") == 2
         assert capsys.readouterr().err.startswith("error: malformed schedule file")
@@ -182,6 +198,64 @@ def test_field_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, command, fie
     assert list(tmp_path.iterdir()) == [path]
 
 
+# Every JSON value type, in and beyond float range, for the input-field sweep.
+SWEEP_VALUES = [None, True, False, 0, 1, -1, 2.5, 10 ** 400, float("nan"), float("inf"),
+                "x", "0.5", [], [0], {}]
+CONFIG_KEYS = ["dim", "t", "mode", "theta_start_deg", "theta_stop_deg", "theta_step_deg",
+               "counts_per_point", "contrast", "seed", "schedule_file", "out_dir"]
+# input -> (valid document, file it is written to, command line reading it)
+SWEEP_INPUTS = {
+    "spec": ({"dims": [2], "t_values": [0, 1], "mode": "exact", "out_dir": "out"},
+             "input.json", ["campaign", "input.json"]),
+    "config": ({"dim": 2, "t": 1}, "input.json", ["simulate", "--config", "input.json"]),
+    "state": (make_antisymmetric_mes(2).to_json_dict(), "input.json",
+              ["verify", "--trials", 2, "--state", "input.json"]),
+    "schedule": ({"dim": 2, "breakpoints": [[0, [0, 0]], [0.5, [90, -90]], [1, [180, -180]]]},
+                 "input.json",
+                 ["simulate", "--d", 2, "--t", 1, "--exact", "--schedule-file", "input.json"]),
+    "sidecar": ({"schema_version": 1, "dim": 2, "t": 1, "seed": 0, "contrast": 0.35,
+                 "counts_per_point": 1000, "mode": "exact"}, "scan.json", ["fit", "scan.csv"]),
+}
+SWEEP_FIELDS = (
+    [("spec", (name,)) for name in ["schema_version"]
+     + [f.name for f in dataclasses.fields(CampaignSpec)]]
+    + [("config", (key,)) for key in ["schema_version"] + CONFIG_KEYS]
+    + [("state", ("dim",)), ("state", ("real",)), ("state", ("imag",)),
+       ("state", ("real", 0, 1))]
+    + [("schedule", ("dim",)), ("schedule", ("breakpoints",)),
+       ("schedule", ("breakpoints", 1, 0)), ("schedule", ("breakpoints", 1, 1, 0))]
+    + [("sidecar", ("t",))]
+)
+
+
+@pytest.mark.parametrize("kind, path", SWEEP_FIELDS,
+                         ids=["-".join(map(str, (kind, *path))) for kind, path in SWEEP_FIELDS])
+def test_every_value_type_in_every_input_field(tmp_path, monkeypatch, capsys, kind, path):
+    # exit 0, 1 or 2 for every value, never an internal error, and nothing written on exit 2
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SAGNACSIM_OUTDIR", raising=False)
+    base, name, argv = SWEEP_INPUTS[kind]
+    if kind == "sidecar":
+        make_scan(tmp_path, "scan.csv", "--d", 2, "--t", 1, "--exact")
+    failures = []
+    for value in SWEEP_VALUES:
+        document = copy.deepcopy(base)
+        *parents, last = path
+        target = document
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        (tmp_path / name).write_text(json.dumps(document))
+        before = TestCampaign.tree_digest(tmp_path)
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        if (code not in (0, 1, 2) or "internal error" in err
+                or (code == 2 and TestCampaign.tree_digest(tmp_path) != before)):
+            failures.append(f"{value!r:.40} -> exit {code}: {err.strip()[:120]}")
+    assert not failures, f"{kind} {path}: " + "; ".join(failures)
+
+
 class TestFit:
     def test_exact_ququart_shift(self, tmp_path, capsys):
         ref = make_scan(tmp_path, "t0.csv", "--d", 4, "--t", 0, "--exact")
@@ -231,7 +305,8 @@ class TestFit:
         assert run_cli("fit", scan) == 1
         assert "need at least 8 points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sidecar", ['{"schema_version": 1, "dim": 2, "t": ', '[0.5, 1]'])
+    @pytest.mark.parametrize("sidecar", ['{"schema_version": 1, "dim": 2, "t": ', '[0.5, 1]',
+                                         '{"t": "0.5"}', '{"t": true}'])
     def test_bad_sidecar_exits_2(self, tmp_path, capsys, sidecar):
         scan = make_scan(tmp_path, "s.csv", "--d", 2, "--t", 0, "--exact")
         scan.with_suffix(".json").write_text(sidecar)
@@ -500,8 +575,11 @@ class TestVerify:
         '{"dim": 2, "real": [[0, 1], [0, 0]], "imag": [0, 0]}',
         '{"dim": 2, "real": [[NaN, 1], [0, 0]], "imag": [[0, 0], [0, 0]]}',
         '{"dim": ' + "2" * 5000 + "}",
+        '{"dim": 2, "real": [["0", "1"], ["0", "0"]], "imag": [["0", "0"], ["0", "0"]]}',
+        '{"dim": 2, "real": [[false, true], [false, false]], '
+        '"imag": [[false, false], [false, false]]}',
     ], ids=["no-real", "string-real", "string-dim", "float-dim", "bool-dim", "imag-shape",
-            "nan-amplitude", "overlong-int"])
+            "nan-amplitude", "overlong-int", "string-amplitudes", "bool-amplitudes"])
     def test_malformed_state_file_exits_2(self, tmp_path, capsys, text):
         state_path = tmp_path / "state.json"
         state_path.write_text(text)

@@ -3,15 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from _helpers import DiagonalPhaseOp, apply_signal_phases, inner_product
 from sagnacsim import (
     BipartiteQuditState,
-    DiagonalPhaseOp,
     DimensionMismatchError,
     InvalidDimensionError,
     NormalizationError,
-    apply_signal_phases,
     i_concurrence,
-    inner_product,
     make_antisymmetric_mes,
 )
 
