@@ -36,12 +36,13 @@ class BipartiteQuditState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise InvalidDimensionError(f"qudit dimension must be >= 2, got {self.dim}")
+        dim = _natural(self.dim, "state dim")  # a float dim would not round-trip through JSON
+        if dim < 2:
+            raise InvalidDimensionError(f"qudit dimension must be >= 2, got {dim}")
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim, self.dim):
+        if amps.shape != (dim, dim):
             raise DimensionMismatchError(
-                f"amplitude matrix must be {self.dim}x{self.dim}, got {amps.shape}"
+                f"amplitude matrix must be {dim}x{dim}, got {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude fails too
@@ -49,6 +50,7 @@ class BipartiteQuditState:
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e} (tol {NORM_TOL})"
             )
         amps.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "amplitudes", amps)
 
     def to_json_dict(self) -> dict:

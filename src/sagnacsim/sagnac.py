@@ -66,33 +66,44 @@ def _theta_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
 DEFAULT_THETA_GRID = _theta_grid(*DEFAULT_THETA_DEG)
 
 
+def _coincidence(amplitudes: np.ndarray, xi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Closed-form coincidence; ``amplitudes`` (..., d, d), ``xi`` (..., d) and
+    ``theta`` (...) broadcast over their leading axes."""
+    diff = (np.exp(1j * xi)[..., :, None] * amplitudes
+            - np.exp(4j * theta)[..., None, None] * np.swapaxes(amplitudes, -1, -2))
+    return 0.25 * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+
+
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
     """Coincidence probability for an arbitrary two-qudit path state.
 
-    ``theta`` is a scalar, giving a float, or an array of plate angles,
-    giving an array of the same shape, one probability per angle.
+    ``xi`` holds phase vectors, shape (..., d); ``theta`` holds plate angles,
+    shape (...).  The leading shapes broadcast and give the result's shape:
+    one phase vector and a scalar angle give a float, one phase vector and a
+    grid of angles give one probability per angle, and a stack of phase
+    vectors with a matching stack of angles gives one probability per row.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (state.dim,):
+    if xi.shape[-1:] != (state.dim,):
         raise DimensionMismatchError(
             f"expected {state.dim} phases, got shape {xi.shape}"
         )
-    a = state.amplitudes
-    theta = np.asarray(theta, dtype=float)
-    diff = np.exp(1j * xi)[:, None] * a - np.exp(4j * theta)[..., None, None] * a.T
-    p = 0.25 * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+    p = _coincidence(state.amplitudes, xi, np.asarray(theta, dtype=float))
     return float(p) if p.ndim == 0 else p
 
 
-def coincidence_mes(d: int, xi, theta: float) -> float:
+def coincidence_mes(d: int, xi, theta) -> float | np.ndarray:
     """Closed form for the anti-diagonal maximally entangled state.
 
-    C(theta) = (1/d) sum_m sin^2[(xi_m - 4*theta) / 2].
+    C(theta) = (1/d) sum_m sin^2[(xi_m - 4*theta) / 2].  Shapes broadcast as
+    in ``coincidence_full``: ``xi`` (..., d) against ``theta`` (...).
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (d,):
+    if xi.shape[-1:] != (d,):
         raise DimensionMismatchError(f"expected {d} phases, got shape {xi.shape}")
-    return float(np.mean(np.sin((xi - 4.0 * theta) / 2.0) ** 2))
+    theta = np.asarray(theta, dtype=float)[..., None]
+    p = np.mean(np.sin((xi - 4.0 * theta) / 2.0) ** 2, axis=-1)
+    return float(p) if p.ndim == 0 else p
 
 
 def circuit_oracle(state: BipartiteQuditState, xi, theta: float, phi: float = 0.0) -> float:

@@ -46,13 +46,26 @@ def _builtin_phases(d: int, t: np.ndarray) -> np.ndarray:
     raise InvalidDimensionError(f"no builtin schedule for d={d}; supported: {BUILTIN_DIMS}")
 
 
+def _breakpoint_array(value, what: str) -> np.ndarray:
+    """A read-only float copy of ``value``, read number by number with ``_real``.
+
+    ``np.array(value, dtype=float)`` would convert strings and booleans; the
+    copy keeps later writes to the caller's array from skipping the checks.
+    """
+    items = np.array(value, dtype=object)
+    array = np.array([_real(item, what) for item in items.flat], dtype=float).reshape(items.shape)
+    array.setflags(write=False)
+    return array
+
+
 class PhaseSchedule:
     """Map t -> (xi_1 ... xi_d); evaluate by calling the instance."""
 
     def __init__(self, dim: int, kind: str, times=None, values=None):
+        dim = _integral(dim, "dim")
         if dim < 2:
             raise InvalidDimensionError(f"qudit dimension must be >= 2, got {dim}")
-        self.dim = int(dim)
+        self.dim = dim
         self.kind = kind
         if kind == "builtin":
             if dim not in BUILTIN_DIMS:
@@ -62,11 +75,8 @@ class PhaseSchedule:
             self._times = None
             self._values = None
         elif kind == "custom":
-            # read-only copies, so later writes to the caller's arrays cannot skip the checks
-            times = np.array(times, dtype=float)
-            values = np.array(values, dtype=float)
-            times.setflags(write=False)
-            values.setflags(write=False)
+            times = _breakpoint_array(times, "breakpoint times")
+            values = _breakpoint_array(values, "breakpoint phases")
             self._validate_breakpoints(times, values)
             self._times = times
             self._values = values

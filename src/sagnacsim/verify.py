@@ -9,12 +9,21 @@ import numpy as np
 from .analysis import fit_fringe, fold_angle, kinematic_phase, phase_shift
 from .jones import phase_shifter, relative_phase
 from .qudit import BipartiteQuditState, make_antisymmetric_mes
-from .sagnac import ExperimentConfig, circuit_oracle, coincidence_full, coincidence_mes, generate_scan
+from .sagnac import (
+    ExperimentConfig,
+    _coincidence,
+    circuit_oracle,
+    coincidence_full,
+    coincidence_mes,
+    generate_scan,
+)
 from .schedule import BUILTIN_DIMS, builtin_schedule, check_su
 
 ORACLE_TOL = 1e-12
 KINEMATIC_STEPS = 2000
 KINEMATIC_TOL = 1e-6
+# trials drawn and evaluated together, so memory does not grow with the trial count
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -31,45 +40,87 @@ def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
     return BipartiteQuditState(d, amps)
 
 
+def _per_dim(dims: list[int], evaluate) -> list[float]:
+    """``evaluate(d, rows)`` once per dimension in ``dims``; values in trial order.
+
+    ``rows`` lists the positions of the trials of dimension ``d``, and
+    ``evaluate`` returns one value per row.  A set groups the trials, since
+    ``np.unique`` would import ``numpy.ma`` and grow the peak memory.
+    """
+    values = np.empty(len(dims))
+    for d in set(dims):
+        rows = [i for i, dim in enumerate(dims) if dim == d]
+        values[rows] = evaluate(d, rows)
+    return values.tolist()
+
+
+def _stack(items: list, rows: list[int]) -> np.ndarray:
+    return np.array([items[i] for i in rows])
+
+
 def check_oracle_equivalence(
     trials: int, rng: np.random.Generator, state: BipartiteQuditState | None = None
 ) -> CheckResult:
-    """Closed-form coincidence vs full circuit propagation on random inputs."""
+    """Closed-form coincidence vs full circuit propagation on random inputs.
+
+    Trials are drawn ``BLOCK`` at a time.  The closed form of a block takes
+    one stacked call per dimension; the oracle then runs trial by trial, and
+    the first failure ends the check.
+    """
+    def closed(d: int, rows: list[int]) -> np.ndarray:
+        amplitudes = np.array([states[i].amplitudes for i in rows])
+        return _coincidence(amplitudes, _stack(xis, rows), _stack(thetas, rows))
+
     worst = 0.0
-    for i in range(trials):
-        d = state.dim if state is not None else int(rng.integers(2, 7))
-        s = state if state is not None else random_state(rng, d)
-        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d)
-        theta = rng.uniform(0.0, np.pi)
-        phi = rng.uniform(0.0, np.pi)
-        diff = abs(coincidence_full(s, xi, theta) - circuit_oracle(s, xi, theta, phi))
-        if diff > ORACLE_TOL:
-            return CheckResult(
-                "oracle-equivalence", False,
-                f"trial {i}: d={d} theta={theta:.6f} phi={phi:.6f} "
-                f"xi={np.array2string(xi, precision=6)} |diff|={diff:.3e}",
-            )
-        worst = max(worst, diff)
+    for start in range(0, trials, BLOCK):
+        states, xis, thetas, phis = [], [], [], []
+        for _ in range(min(BLOCK, trials - start)):
+            d = state.dim if state is not None else int(rng.integers(2, 7))
+            states.append(state if state is not None else random_state(rng, d))
+            xis.append(rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d))
+            thetas.append(rng.uniform(0.0, np.pi))
+            phis.append(rng.uniform(0.0, np.pi))
+        values = _per_dim([s.dim for s in states], closed)
+        for i, (s, xi, theta, phi, c) in enumerate(zip(states, xis, thetas, phis, values), start):
+            diff = abs(c - circuit_oracle(s, xi, theta, phi))
+            if diff > ORACLE_TOL:
+                return CheckResult(
+                    "oracle-equivalence", False,
+                    f"trial {i}: d={s.dim} theta={theta:.6f} phi={phi:.6f} "
+                    f"xi={np.array2string(xi, precision=6)} |diff|={diff:.3e}",
+                )
+            worst = max(worst, diff)
     return CheckResult(
         "oracle-equivalence", True, f"{trials} trials, max |diff| = {worst:.3e}"
     )
 
 
 def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
-    """General formula must reduce to the closed MES form on MES inputs."""
+    """General formula must reduce to the closed MES form on MES inputs.
+
+    Trials are drawn ``BLOCK`` at a time, and both forms of a block take one
+    stacked call per dimension.
+    """
+    mes = {d: make_antisymmetric_mes(d) for d in range(2, 7)}
+
+    def diffs(d: int, rows: list[int]) -> np.ndarray:
+        xi, theta = _stack(xis, rows), _stack(thetas, rows)
+        return np.abs(coincidence_full(mes[d], xi, theta) - coincidence_mes(d, xi, theta))
+
     worst = 0.0
-    for i in range(trials):
-        d = int(rng.integers(2, 7))
-        mes = make_antisymmetric_mes(d)
-        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d)
-        theta = rng.uniform(0.0, np.pi)
-        diff = abs(coincidence_full(mes, xi, theta) - coincidence_mes(d, xi, theta))
-        if diff > ORACLE_TOL:
-            return CheckResult(
-                "mes-reduction", False,
-                f"trial {i}: d={d} theta={theta:.6f} |diff|={diff:.3e}",
-            )
-        worst = max(worst, diff)
+    for start in range(0, trials, BLOCK):
+        dims, xis, thetas = [], [], []
+        for _ in range(min(BLOCK, trials - start)):
+            dims.append(int(rng.integers(2, 7)))
+            xis.append(rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=dims[-1]))
+            thetas.append(rng.uniform(0.0, np.pi))
+        for i, (d, theta, diff) in enumerate(zip(dims, thetas, _per_dim(dims, diffs)), start):
+            if diff > ORACLE_TOL:
+                return CheckResult(
+                    "mes-reduction", False,
+                    f"trial {i}: d={d} theta={theta:.6f} |diff|={diff:.3e}",
+                )
+            worst = max(worst, diff)
     return CheckResult("mes-reduction", True, f"{trials} trials, max |diff| = {worst:.3e}")
 
 

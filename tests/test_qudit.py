@@ -6,6 +6,7 @@ import pytest
 from _helpers import DiagonalPhaseOp, apply_signal_phases, inner_product
 from sagnacsim import (
     BipartiteQuditState,
+    ConfigError,
     DimensionMismatchError,
     InvalidDimensionError,
     NormalizationError,
@@ -73,6 +74,17 @@ class TestStateValidation:
         loaded = BipartiteQuditState.from_json_dict(json.loads(path.read_text()))
         np.testing.assert_allclose(loaded.amplitudes, s.amplitudes, atol=1e-15)
         assert loaded.dim == 3
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None])
+    def test_rejects_non_integer_dim(self, dim):
+        # a float dim would be written as "dim": 2.0, which from_json_dict refuses
+        with pytest.raises(ConfigError, match="state dim"):
+            BipartiteQuditState(dim, np.eye(2) / np.sqrt(2.0))
+
+    def test_numpy_integer_dim_stored_as_int(self):
+        s = BipartiteQuditState(np.int64(2), np.eye(2) / np.sqrt(2.0))
+        assert type(s.dim) is int
+        assert json.loads(json.dumps(s.to_json_dict()))["dim"] == 2
 
 
 class TestIConcurrence:

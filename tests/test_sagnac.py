@@ -4,8 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sagnacsim import (
+    BipartiteQuditState,
     ConfigError,
     DimensionMismatchError,
     ExperimentConfig,
@@ -20,7 +24,7 @@ from sagnacsim import (
     read_scan,
     write_scan,
 )
-from sagnacsim.sagnac import MAX_COUNTS, scan_metadata
+from sagnacsim.sagnac import MAX_COUNTS, _coincidence, scan_metadata
 from sagnacsim.verify import random_state
 
 
@@ -202,6 +206,69 @@ class TestCoincidenceFullArray:
     def test_scalar_theta_gives_float(self):
         value = coincidence_full(make_antisymmetric_mes(3), np.zeros(3), np.float64(0.3))
         assert type(value) is float
+        assert type(coincidence_mes(3, np.zeros(3), np.float64(0.3))) is float
+
+
+@st.composite
+def phase_stacks(draw, rows=st.integers(1, 12)):
+    """(state, xi (n, d), theta (n,)) for d = 2..6, with a drawn normalized state."""
+    d = draw(st.integers(2, 6))
+    n = draw(rows)
+    parts = [draw(arrays(float, (d, d), elements=st.floats(-1.0, 1.0))) for _ in range(2)]
+    amps = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    xi = draw(arrays(float, (n, d), elements=st.floats(-2.0 * np.pi, 2.0 * np.pi)))
+    theta = draw(arrays(float, (n,), elements=st.floats(0.0, np.pi)))
+    return BipartiteQuditState(d, amps / norm), xi, theta
+
+
+class TestStackedPhases:
+    """A stack of phase vectors gives exactly the per-row results."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(phase_stacks())
+    def test_full_equals_rows(self, drawn):
+        state, xi, theta = drawn
+        rows = [coincidence_full(state, x, th) for x, th in zip(xi, theta)]
+        assert np.array_equal(coincidence_full(state, xi, theta), rows)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(phase_stacks())
+    def test_mes_equals_rows(self, drawn):
+        state, xi, theta = drawn
+        d = state.dim
+        mes = make_antisymmetric_mes(d)
+        assert np.array_equal(coincidence_mes(d, xi, theta),
+                              [coincidence_mes(d, x, th) for x, th in zip(xi, theta)])
+        assert np.array_equal(coincidence_full(mes, xi, theta),
+                              [coincidence_full(mes, x, th) for x, th in zip(xi, theta)])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(phase_stacks(), st.data())
+    def test_stacked_states_equal_rows(self, drawn, data):
+        # the kernel also takes one amplitude matrix per row
+        state, xi, theta = drawn
+        states = [state if data.draw(st.booleans()) else make_antisymmetric_mes(state.dim)
+                  for _ in theta]
+        stacked = _coincidence(np.array([s.amplitudes for s in states]), xi, theta)
+        assert np.array_equal(stacked, [coincidence_full(s, x, th)
+                                        for s, x, th in zip(states, xi, theta)])
+
+    def test_stack_of_wrong_width_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            coincidence_full(make_antisymmetric_mes(3), np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(DimensionMismatchError):
+            coincidence_mes(3, np.zeros((4, 2)), np.zeros(4))
+
+
+class TestOracleProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(phase_stacks(rows=st.just(1)), st.floats(0.0, np.pi))
+    def test_full_agrees_with_circuit_oracle(self, drawn, phi):
+        state, xi, theta = drawn
+        assert abs(coincidence_full(state, xi[0], theta[0])
+                   - circuit_oracle(state, xi[0], theta[0], phi)) <= 1e-12
 
 
 class TestGenerateScan:

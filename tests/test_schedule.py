@@ -5,6 +5,7 @@ import pytest
 
 from _helpers import circular_diff
 from sagnacsim import (
+    ConfigError,
     InvalidDimensionError,
     PhaseSchedule,
     ScheduleError,
@@ -132,6 +133,33 @@ class TestCustomSchedules:
     def test_non_finite_breakpoints_rejected(self, times, values):
         with pytest.raises(ScheduleError, match="finite"):
             PhaseSchedule(2, "custom", times=times, values=values)
+
+    @pytest.mark.parametrize("dim", [2.5, "2", True, None])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ConfigError, match="dim must be an integer"):
+            PhaseSchedule(dim, "custom", times=[0.0, 1.0], values=np.zeros((2, 2)))
+
+    def test_integral_float_dim_accepted(self):
+        assert PhaseSchedule(2.0, "builtin").dim == 2
+
+    @pytest.mark.parametrize("times, values", [
+        (["0", "1"], [[0.0, 0.0], [np.pi, -np.pi]]),
+        ([False, True], [[0.0, 0.0], [np.pi, -np.pi]]),
+        ([0.0, 1.0], [[False, False], [np.pi, -np.pi]]),
+        ([0.0, 1.0], np.array([[False, False], [True, True]])),
+        ([0.0, 1.0], [["0", "0"], [np.pi, -np.pi]]),
+        ([0.0, 10**400], np.zeros((2, 2))),
+        ([0.0, [1.0]], np.zeros((2, 2))),
+    ])
+    def test_non_numeric_breakpoints_rejected(self, times, values):
+        with pytest.raises(ConfigError, match="must be a number"):
+            PhaseSchedule(2, "custom", times=times, values=values)
+
+    def test_numeric_arrays_accepted(self):
+        sched = PhaseSchedule(2, "custom", times=np.array([0, 1]),
+                              values=np.array([[0.0, 0.0], [np.pi, -np.pi]], dtype=np.float32))
+        times, values = sched.breakpoints
+        assert times.dtype == values.dtype == np.float64
 
     def test_caller_arrays_copied(self):
         times = np.array([0.0, 1.0])

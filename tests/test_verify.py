@@ -1,8 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sagnacsim
 import sagnacsim.sagnac
-from sagnacsim import jones, make_antisymmetric_mes, run_verification
+from sagnacsim import jones, make_antisymmetric_mes, run_verification, verify
+from sagnacsim.cli import main
 
 
 def test_full_suite_passes():
@@ -48,3 +56,81 @@ def test_random_state_normalized():
     rng = np.random.default_rng(0)
     s = random_state(rng, 5)
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-12
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+TAIL = (
+    "[PASS] su-schedules: dims (2, 3, 4): traceless, cyclic at t=1\n"
+    "[PASS] phase-shifter: 100 points, max err = 1.776e-15\n"
+    "[PASS] kinematic-agreement: dims (2, 3, 4): |shift - geometric| <= 1e-06\n"
+)
+# stdout of `verify --trials 2000`, frozen from the per-trial implementation
+FROZEN_STDOUT = {
+    0: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.221e-15\n"
+       "[PASS] mes-reduction: 2000 trials, max |diff| = 6.661e-16\n" + TAIL,
+    1: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 7.772e-16\n"
+       "[PASS] mes-reduction: 2000 trials, max |diff| = 5.551e-16\n" + TAIL,
+    7: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
+       "[PASS] mes-reduction: 2000 trials, max |diff| = 6.661e-16\n" + TAIL,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_STDOUT))
+def test_verify_stdout_frozen(seed, capsys):
+    assert run_cli("verify", "--trials", 2000, "--seed", seed) == 0
+    assert capsys.readouterr().out == FROZEN_STDOUT[seed]
+
+
+def test_verify_state_stdout_frozen(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "dim": 3,
+        "real": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, -0.5]],
+        "imag": [[0, 0, 0.5], [0, 0, 0], [0, 0, 0]],
+    }))
+    assert run_cli("verify", "--trials", 2000, "--seed", 11, "--state", state) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
+        "[PASS] mes-reduction: 2000 trials, max |diff| = 8.882e-16\n" + TAIL
+    )
+
+
+# Faults that first fire in the second block of trials, at the trial index and
+# with the message the per-trial implementation reported for seed 0.
+def test_oracle_failure_in_second_block(monkeypatch, capsys):
+    real = verify.circuit_oracle
+    monkeypatch.setattr(verify, "circuit_oracle", lambda s, xi, theta, phi=0.0: (
+        real(s, xi, theta, phi) + (1e-9 if theta > 3.135 else 0.0)))
+    assert verify.BLOCK <= 321 < 2 * verify.BLOCK
+    assert run_cli("verify", "--trials", 2000, "--seed", 0) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[FAIL] oracle-equivalence: trial 321: d=3 theta=3.138241 phi=0.003883 "
+        "xi=[-4.884266  1.83037  -5.539952] |diff|=1.000e-09"
+    )
+
+
+def test_mes_failure_in_second_block(monkeypatch, capsys):
+    real = verify.coincidence_mes
+    monkeypatch.setattr(verify, "coincidence_mes", lambda d, xi, theta: (
+        real(d, xi, theta) + np.where(np.asarray(theta) > 3.12, 1e-9, 0.0)))
+    assert verify.BLOCK <= 436 < 2 * verify.BLOCK
+    assert run_cli("verify", "--trials", 2000, "--seed", 0) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.221e-15",
+        "[FAIL] mes-reduction: trial 436: d=3 theta=3.122056 |diff|=1.000e-09",
+    ]
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, which adds ~1.5 MiB to the peak memory of a run
+    package_root = str(Path(sagnacsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = ("import sys\nfrom sagnacsim.cli import main\n"
+            "code = main(['verify', '--trials', '600'])\n"
+            "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
