@@ -243,12 +243,6 @@ class KinematicPhases:
         }
 
 
-def _chain_args(phasors: np.ndarray, weights: np.ndarray, stride: int) -> float:
-    # sum_j arg<psi_j|psi_j+stride> over the nested grid of the given stride
-    overlaps = (phasors[stride::stride] * phasors[:-stride:stride].conj()) @ weights
-    return float(np.sum(np.angle(overlaps)))
-
-
 def kinematic_phase(
     state: BipartiteQuditState, schedule: PhaseSchedule, steps: int
 ) -> KinematicPhases:
@@ -257,7 +251,9 @@ def kinematic_phase(
     psi_j applies the schedule phases at t_j = j/steps to the signal photon.
     The operation is diagonal, so every overlap reduces to a row-weight sum
     <psi_j|psi_k> = sum_m w_m exp(i(xi_m(t_k) - xi_m(t_j))) with
-    w_m = sum_n |alpha_mn|^2, and the whole grid is one schedule call.
+    w_m = sum_n |alpha_mn|^2, and the whole grid is one schedule call.  The
+    chain takes the phase increments xi(t_j+1) - xi(t_j) through one cos and
+    one sin each, so its factors carry no rounding of the absolute phases.
     Chains the overlaps: total = arg<psi_0|psi_N>, dynamical =
     sum_j arg<psi_j|psi_j+1>, geometric = total - dynamical folded into
     (-pi, pi].  For even step counts the dynamical sum is
@@ -272,18 +268,23 @@ def kinematic_phase(
             f"schedule dimension {schedule.dim} != state dimension {state.dim}"
         )
     weights = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    phasors = np.exp(1j * schedule(np.arange(steps + 1) / steps))
-    closing = (phasors[-1] * phasors[0].conj()) @ weights
+    xi = schedule(np.arange(steps + 1) / steps)
+    closing = np.exp(1j * (xi[-1] - xi[0])) @ weights
     if abs(closing) < 1e-12:
         raise DegenerateLoopError("endpoints are orthogonal; total phase undefined")
     total = float(np.angle(closing))
 
-    dyn_fine = _chain_args(phasors, weights, 1)
+    # row j holds exp(i(xi(t_j+1) - xi(t_j))), the factor of <psi_j|psi_j+1>
+    delta = xi[1:] - xi[:-1]
+    increments = np.empty(delta.shape, dtype=complex)
+    np.cos(delta, out=increments.real)
+    np.sin(delta, out=increments.imag)
+    dynamical = float(np.sum(np.angle(increments @ weights)))
     if steps % 2 == 0:
-        dyn_coarse = _chain_args(phasors, weights, 2)
-        dynamical = (4.0 * dyn_fine - dyn_coarse) / 3.0
-    else:
-        dynamical = dyn_fine
+        # the nested half-resolution chain, from products of increment pairs
+        pairs = increments[0::2] * increments[1::2]
+        dyn_coarse = float(np.sum(np.angle(pairs @ weights)))
+        dynamical = (4.0 * dynamical - dyn_coarse) / 3.0
     geometric = fold_angle(total - dynamical)
     return KinematicPhases(total, dynamical, geometric, steps)
 

@@ -44,6 +44,15 @@ def compose(matrices) -> np.ndarray:
     return out
 
 
+# The crossed quarter wave plates of the phase shifter are fixed, so they are
+# built once.  ``_QWP_IN`` keeps the identity product that ``compose`` starts
+# from, so ``phase_shifter`` matches the composed stack bit for bit.
+_QWP_IN = qwp(-np.pi / 4.0) @ np.eye(2, dtype=complex)
+_QWP_OUT = qwp(np.pi / 4.0)
+_QWP_IN.setflags(write=False)
+_QWP_OUT.setflags(write=False)
+
+
 def phase_shifter(phi: float, theta: float) -> np.ndarray:
     """Variable phase shifter built from a QWP / HWP / HWP / QWP stack.
 
@@ -53,12 +62,7 @@ def phase_shifter(phi: float, theta: float) -> np.ndarray:
     its mounted angle).  The stack is diagonal in H/V for every (phi, theta)
     and advances V by 4*theta relative to H; phi only moves the global phase.
     """
-    return compose([
-        qwp(-np.pi / 4.0),
-        hwp(phi),
-        hwp(phi + theta),
-        qwp(np.pi / 4.0),
-    ])
+    return _QWP_OUT @ (hwp(phi + theta) @ (hwp(phi) @ _QWP_IN))
 
 
 def relative_phase(matrix: np.ndarray) -> float:

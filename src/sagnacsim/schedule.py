@@ -146,7 +146,8 @@ def load_schedule(path) -> PhaseSchedule:
     """Load a custom schedule from JSON {dim, breakpoints: [[t, [deg...]]...]}.
 
     Phases are stored in degrees on disk and converted to radians here.  The
-    loader rejects unsorted times and any SU(d) or xi(0)=0 violation.
+    loader rejects unsorted times and any SU(d) or xi(0)=0 violation, on a
+    1001-point grid and at every breakpoint.
     """
     data = load_json_object(path, "schedule file", ScheduleError)
     reals = _items(_real, "numbers")
@@ -163,6 +164,7 @@ def load_schedule(path) -> PhaseSchedule:
             f"malformed schedule file {path}: dim {dim!r} does not match the phase rows"
         )
     schedule = PhaseSchedule(dim, "custom", times=times, values=values)
-    if not check_su(schedule, 1001):
+    # the grid can fall between two breakpoints, so the breakpoint rows are checked too
+    if not (check_su(schedule, 1001) and np.all(np.abs(np.sum(values, axis=1)) <= SU_TOL)):
         raise ScheduleError(f"schedule in {path} violates the SU(d) phase-sum condition")
     return schedule

@@ -1,4 +1,7 @@
-"""Randomized cross-checks between the independent computation routes."""
+"""Randomized cross-checks between the independent computation routes.
+
+Every check compares as ``not value <= tol``, so a NaN value fails it.
+"""
 
 from __future__ import annotations
 
@@ -83,7 +86,7 @@ def check_oracle_equivalence(
         values = _per_dim([s.dim for s in states], closed)
         for i, (s, xi, theta, phi, c) in enumerate(zip(states, xis, thetas, phis, values), start):
             diff = abs(c - circuit_oracle(s, xi, theta, phi))
-            if diff > ORACLE_TOL:
+            if not diff <= ORACLE_TOL:
                 return CheckResult(
                     "oracle-equivalence", False,
                     f"trial {i}: d={s.dim} theta={theta:.6f} phi={phi:.6f} "
@@ -115,7 +118,7 @@ def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
             xis.append(rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=dims[-1]))
             thetas.append(rng.uniform(0.0, np.pi))
         for i, (d, theta, diff) in enumerate(zip(dims, thetas, _per_dim(dims, diffs)), start):
-            if diff > ORACLE_TOL:
+            if not diff <= ORACLE_TOL:
                 return CheckResult(
                     "mes-reduction", False,
                     f"trial {i}: d={d} theta={theta:.6f} |diff|={diff:.3e}",
@@ -133,7 +136,7 @@ def check_su_schedules() -> CheckResult:
         final = sched(1.0)
         for k, xi_k in enumerate(final):
             err = abs(fold_angle(xi_k - 2.0 * np.pi / d))
-            if err > 1e-12:
+            if not err <= 1e-12:
                 return CheckResult(
                     "su-schedules", False,
                     f"d={d}: xi_{k+1}(1) not congruent to 2*pi/{d} (err {err:.3e})",
@@ -148,7 +151,7 @@ def check_phase_shifter(rng: np.random.Generator, points: int = 100) -> CheckRes
         phi = rng.uniform(0.0, np.pi)
         theta = rng.uniform(0.0, np.pi)
         err = abs(fold_angle(relative_phase(phase_shifter(phi, theta)) - 4.0 * theta))
-        if err > 1e-12:
+        if not err <= 1e-12:
             return CheckResult(
                 "phase-shifter", False,
                 f"point {i}: phi={phi:.6f} theta={theta:.6f} err={err:.3e}",
@@ -166,12 +169,12 @@ def check_kinematic_agreement() -> CheckResult:
         shift, _ = phase_shift(fit_ref, fit_op)
         kin = kinematic_phase(make_antisymmetric_mes(d), cfg.schedule, KINEMATIC_STEPS)
         geo = float(np.mod(kin.geometric, 2.0 * np.pi))
-        if abs(shift - geo) > KINEMATIC_TOL:
+        if not abs(shift - geo) <= KINEMATIC_TOL:
             return CheckResult(
                 "kinematic-agreement", False,
                 f"d={d}: shift={shift:.9f} geometric={geo:.9f}",
             )
-        if abs(kin.dynamical) > 1e-9:
+        if not abs(kin.dynamical) <= 1e-9:
             return CheckResult(
                 "kinematic-agreement", False, f"d={d}: dynamical={kin.dynamical:.3e}"
             )

@@ -198,8 +198,9 @@ class TestPhaseShift:
 
 class TestKinematicPhase:
     def test_qutrit_builtin(self):
+        # the chain on phase increments carries no rounding of the absolute phases
         kin = kinematic_phase(make_antisymmetric_mes(3), builtin_schedule(3), 10_000)
-        assert abs(kin.geometric - 2.0 * np.pi / 3.0) < 1e-8
+        assert abs(kin.geometric - 2.0 * np.pi / 3.0) <= 1e-14
         assert abs(kin.dynamical) < 1e-9
 
     def test_qubit_builtin(self):

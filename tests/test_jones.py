@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import assert_equal_up_to_global_phase, circular_diff
 from sagnacsim import (
@@ -10,6 +12,7 @@ from sagnacsim import (
     qwp,
     relative_phase,
 )
+from sagnacsim.jones import _QWP_IN, _QWP_OUT
 
 
 def rotation(angle):
@@ -110,6 +113,37 @@ class TestPhaseShifter:
     def test_unitary(self):
         m = phase_shifter(0.3, 0.9)
         assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
+
+
+class TestFixedPlates:
+    """The shifter reuses its two fixed plates and still equals the composed stack."""
+
+    ANGLES = st.floats(-20.0, 20.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ANGLES, ANGLES)
+    @example(0.0, 0.0)
+    @example(-0.0, 0.0)
+    @example(-1.3, -2.9)
+    @example(0.4, -0.25)
+    @example(7.5, 13.0)
+    @example(2.0 * np.pi, 4.0 * np.pi + 0.1)
+    def test_equals_composed_stack_bit_for_bit(self, phi, theta):
+        stack = compose([qwp(-np.pi / 4.0), hwp(phi), hwp(phi + theta), qwp(np.pi / 4.0)])
+        assert phase_shifter(phi, theta).tobytes() == stack.tobytes()
+
+    def test_plates_are_read_only(self):
+        for plate in (_QWP_IN, _QWP_OUT):
+            assert not plate.flags.writeable
+            with pytest.raises(ValueError):
+                plate[0, 0] = 0.0
+
+    def test_returned_matrix_is_a_fresh_array(self):
+        first = phase_shifter(0.3, 0.9)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert phase_shifter(0.3, 0.9).tobytes() == expected.tobytes()
 
 
 class TestRelativePhase:

@@ -1,6 +1,8 @@
 import csv
 import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,7 +350,42 @@ class TestGenerateScan:
             generate_scan(cfg, 0.0, mode="fancy")
 
 
+@st.composite
+def scans(draw):
+    """A scan on a drawn grid, with drawn counts or probabilities and t.
+
+    The grid is kept only if its ``%.10g`` text is strictly increasing too,
+    which ``read_scan`` requires.
+    """
+    degrees = np.sort(draw(st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=40,
+                                    unique=True)))
+    thetas = np.deg2rad(degrees)
+    text = [float(f"{th:.10g}") for th in np.rad2deg(thetas).tolist()]
+    assume(np.all(np.diff(thetas) > 0.0) and np.all(np.diff(text) > 0.0))
+    if draw(st.booleans()):
+        values = draw(arrays(np.int64, thetas.size, elements=st.integers(0, 2**63 - 1)))
+        mode = "sampled"
+    else:
+        values = draw(arrays(float, thetas.size, elements=st.floats(0.0, 1.0)))
+        mode = "exact"
+    return FringeScan(draw(st.floats(0.0, 1.0)), thetas, values, mode)
+
+
 class TestScanIO:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scans())
+    def test_round_trip_property(self, scan):
+        # values and t come back exactly; thetas come back as their %.10g text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scan.csv"
+            write_scan(scan, path, {"t": scan.t})
+            loaded, metadata = read_scan(path)
+        assert metadata == {"t": scan.t} and loaded.t == scan.t
+        assert loaded.mode == scan.mode and loaded.values.dtype == scan.values.dtype
+        assert loaded.values.tolist() == scan.values.tolist()
+        text = [float(f"{th:.10g}") for th in np.rad2deg(scan.thetas).tolist()]
+        assert loaded.thetas.tolist() == np.deg2rad(text).tolist()
+
     def test_sampled_round_trip(self, tmp_path):
         cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=5)
         scan = generate_scan(cfg, 1.0)

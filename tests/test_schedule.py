@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import circular_diff
 from sagnacsim import (
@@ -13,6 +17,7 @@ from sagnacsim import (
     check_su,
     load_schedule,
 )
+from sagnacsim.schedule import SU_TOL
 
 
 class TestBuiltinEndpoints:
@@ -190,6 +195,20 @@ class TestLoader:
         with pytest.raises(ScheduleError):
             load_schedule(path)
 
+    def test_loader_rejects_violation_between_grid_points(self, tmp_path):
+        # the 1001-point grid steps over the middle breakpoint, whose phases sum to 90 degrees
+        path = tmp_path / "spike.json"
+        path.write_text(json.dumps({
+            "dim": 2,
+            "breakpoints": [[0.0, [0.0, 0.0]], [0.5002, [0.0, 0.0]], [0.5005, [90.0, 0.0]],
+                            [0.5008, [0.0, 0.0]], [1.0, [180.0, -180.0]]],
+        }))
+        assert check_su(PhaseSchedule(2, "custom", times=[0.0, 0.5002, 0.5005, 0.5008, 1.0],
+                                      values=np.deg2rad([[0, 0], [0, 0], [90, 0], [0, 0],
+                                                         [180, -180]])), 1001)
+        with pytest.raises(ScheduleError, match="SU"):
+            load_schedule(path)
+
     def test_loader_rejects_unsorted(self, tmp_path):
         path = tmp_path / "unsorted.json"
         path.write_text(json.dumps({
@@ -208,6 +227,47 @@ class TestLoader:
         path.write_text("not json")
         with pytest.raises(ScheduleError):
             load_schedule(path)
+
+
+@st.composite
+def schedule_tables(draw):
+    """(dim, times, phase rows in degrees, valid) for a schedule file.
+
+    The rows are traceless with a zero first row; when ``valid`` is false,
+    one drawn entry was then moved, which breaks the SU(d) condition.
+    """
+    d = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=8, unique=True))
+    times = [0.0, *sorted(inner), 1.0]
+    rows = [[0.0] * d]
+    for _ in times[1:]:
+        row = draw(st.lists(st.floats(-720.0, 720.0), min_size=d - 1, max_size=d - 1))
+        rows.append(row + [-sum(row)])
+    valid = draw(st.booleans())
+    if not valid:
+        row, k = draw(st.integers(0, len(times) - 1)), draw(st.integers(0, d - 1))
+        rows[row][k] += draw(st.floats(1e-6, 90.0))
+    return d, times, rows, valid
+
+
+class TestLoaderProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(schedule_tables(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_loaded_schedules_keep_the_invariants(self, table, ts):
+        # a loaded schedule has xi(0) = 0 and a zero phase sum at every t,
+        # breakpoints included; a table that breaks either is refused
+        d, times, rows, valid = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sched.json"
+            path.write_text(json.dumps({"dim": d, "breakpoints": list(zip(times, rows))}))
+            if not valid:
+                with pytest.raises(ScheduleError):
+                    load_schedule(path)
+                return
+            sched = load_schedule(path)
+        assert np.array_equal(sched(0.0), np.zeros(d))
+        assert np.all(np.abs(np.sum(sched(np.array([*times, *ts])), axis=-1)) <= SU_TOL)
 
 
 def _loaded_custom(tmp_path):

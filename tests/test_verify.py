@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -134,3 +135,30 @@ def test_verify_does_not_import_numpy_ma():
             "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+NAN = float("nan")
+
+
+# A NaN value fails every comparison, so each check must compare as `not value <= tol`.
+@pytest.mark.parametrize("check, route, nan_route", [
+    ("oracle-equivalence", "circuit_oracle", lambda s, xi, theta, phi=0.0: NAN),
+    ("mes-reduction", "coincidence_mes", lambda d, xi, theta: np.full(np.shape(theta), NAN)),
+    ("phase-shifter", "phase_shifter", lambda phi, theta: np.diag([NAN, NAN])),
+], ids=["oracle-equivalence", "mes-reduction", "phase-shifter"])
+def test_nan_value_fails_its_check(monkeypatch, capsys, check, route, nan_route):
+    monkeypatch.setattr(verify, route, nan_route)
+    assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 1 and f"[FAIL] {check}: " in out and "=nan" in out
+
+
+@pytest.mark.parametrize("phase", ["geometric", "dynamical"])
+def test_nan_kinematic_phase_fails_agreement(monkeypatch, capsys, phase):
+    real = verify.kinematic_phase
+    monkeypatch.setattr(verify, "kinematic_phase", lambda *args: dataclasses.replace(
+        real(*args), **{phase: NAN}))
+    assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "[FAIL] kinematic-agreement: d=2: "
+        + ("shift=3.141592654 geometric=nan" if phase == "geometric" else "dynamical=nan"))
