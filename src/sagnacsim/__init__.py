@@ -27,7 +27,7 @@ from .errors import (
     ScheduleError,
 )
 from .jones import compose, hwp, phase_shifter, qwp, relative_phase
-from .qudit import BipartiteQuditState, i_concurrence, make_antisymmetric_mes
+from .qudit import BipartiteQuditState, make_antisymmetric_mes
 from .sagnac import (
     ExperimentConfig,
     FringeScan,
@@ -71,7 +71,6 @@ __all__ = [
     "fold_angle",
     "generate_scan",
     "hwp",
-    "i_concurrence",
     "kinematic_phase",
     "load_campaign_spec",
     "load_schedule",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import FIT_VERSION, FitResult, fit_fringe, phase_shift
+from .analysis import FIT_VERSION, FitResult, _model, fit_fringe, phase_shift
 from .errors import ConfigError, _integral, _items, _optional, _path, _real, load_json_object
 from .plotting import render_campaign_svg
 from .sagnac import (
@@ -18,6 +18,7 @@ from .sagnac import (
     SCHEMA_VERSION,
     ExperimentConfig,
     FringeScan,
+    _stream_key,
     _theta_grid,
     generate_scan,
     scan_metadata,
@@ -42,7 +43,7 @@ class CampaignSpec:
     written.
     """
 
-    dims: tuple[int, ...] = _checked(_items(_integral, "integers"))
+    dims: tuple[int, ...] = _checked(_items(_integral, "integers"), default=())
     mode: str = "exact"  # __post_init__ refuses all but two strings
     t_values: tuple[float, ...] = _checked(_items(_real, "numbers"), default=(0.0, 0.5, 1.0))
     theta_start_deg: float = _checked(_real, default=DEFAULT_THETA_DEG[0])
@@ -73,6 +74,9 @@ class CampaignSpec:
         names = [f"t{t:g}" for t in self.t_values]
         if len(set(names)) != len(names):
             raise ConfigError(f"t values must give distinct output names, got {names}")
+        keys = [_stream_key(t) for t in self.t_values]
+        if self.mode == "sampled" and len(set(keys)) != len(keys):
+            raise ConfigError(f"sampled t values {names} share a noise stream (t keyed at 1e-6)")
         # a bad or oversized grid fails here, before anything is created
         _theta_grid(self.theta_start_deg, self.theta_stop_deg, self.theta_step_deg)
         if self.schedule_file is not None and len(self.dims) != 1:
@@ -84,10 +88,7 @@ class CampaignSpec:
         extra = set(data) - known - {"schema_version"}
         if extra:
             raise ConfigError(f"unknown campaign spec fields: {sorted(extra)}")
-        try:
-            return cls(**{k: v for k, v in data.items() if k in known})
-        except TypeError as exc:
-            raise ConfigError(f"invalid campaign spec: {exc}") from exc
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 def load_campaign_spec(path) -> CampaignSpec:
@@ -111,9 +112,8 @@ def _experiment_config(spec: CampaignSpec, d: int) -> ExperimentConfig:
 
 def _fit_curve(fit: FitResult, theta_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dense_deg = np.linspace(float(theta_deg[0]), float(theta_deg[-1]), 200)
-    dense = np.deg2rad(dense_deg)
-    curve = fit.amplitude * (1.0 - fit.visibility * np.cos(fit.frequency * dense + fit.phase))
-    return dense_deg, curve
+    params = (fit.amplitude, fit.visibility, fit.frequency, fit.phase)
+    return dense_deg, _model(np.deg2rad(dense_deg), params)
 
 
 def run_campaign(spec: CampaignSpec) -> dict:

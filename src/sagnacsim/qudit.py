@@ -1,4 +1,4 @@
-"""Pure two-qudit path states and their entanglement bookkeeping.
+"""Pure two-qudit path states and the maximally entangled state of the experiment.
 
 The two photons are labeled signal and idler; a state is a dense d x d
 complex matrix of amplitudes ``alpha[m, n]`` for the signal photon in slit
@@ -84,11 +84,3 @@ def make_antisymmetric_mes(d: int) -> BipartiteQuditState:
     amps = np.zeros((d, d), dtype=complex)
     amps[np.arange(d), d - 1 - np.arange(d)] = 1.0 / np.sqrt(d)
     return BipartiteQuditState(d, amps)
-
-
-def i_concurrence(state: BipartiteQuditState) -> float:
-    """I-concurrence sqrt(2 * (1 - Tr rho_signal^2)) of a pure state."""
-    a = state.amplitudes
-    rho = a @ a.conj().T  # reduced density matrix of the signal photon
-    purity = float(np.sum(np.abs(rho) ** 2))
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatchError,
-    ScheduleError,
     _integral,
     _natural,
     _real,
@@ -64,6 +63,11 @@ def _theta_grid(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
 
 
 DEFAULT_THETA_GRID = _theta_grid(*DEFAULT_THETA_DEG)
+
+
+def _stream_key(t: float) -> int:
+    """The t part of a sampled scan's RNG stream key: t in micro-units."""
+    return int(round(t * 1_000_000))
 
 
 def _coincidence(amplitudes: np.ndarray, xi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -230,8 +234,6 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     micro resolution, so distinct dimensions and settings never share noise
     (stream version ``STREAM_VERSION``).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ScheduleError(f"t out of range: {t} not in [0, 1]")
     xi = cfg.schedule(t)
     mes = make_antisymmetric_mes(cfg.dim)
     p = coincidence_full(mes, xi, cfg.theta_grid)
@@ -240,7 +242,7 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     if mode == "exact":
         return FringeScan(t, cfg.theta_grid, p_eff, "exact")
     if mode == "sampled":
-        key = (cfg.dim, int(round(t * 1_000_000)))
+        key = (cfg.dim, _stream_key(t))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=key))
         counts = rng.poisson(cfg.counts_per_point * p_eff)
         return FringeScan(t, cfg.theta_grid, counts, "sampled")

@@ -36,14 +36,13 @@ def _builtin_phases(d: int, t: np.ndarray) -> np.ndarray:
             -4.0 * np.pi / 3.0 * t,
             2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h,
         ], axis=-1)
-    if d == 4:
-        return np.stack([
-            np.pi / 2.0 * t,
-            -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h,
-            3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h,
-            -3.0 * np.pi / 2.0 * t,
-        ], axis=-1)
-    raise InvalidDimensionError(f"no builtin schedule for d={d}; supported: {BUILTIN_DIMS}")
+    # d == 4: PhaseSchedule refuses every other d before it gets here
+    return np.stack([
+        np.pi / 2.0 * t,
+        -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h,
+        3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h,
+        -3.0 * np.pi / 2.0 * t,
+    ], axis=-1)
 
 
 def _breakpoint_array(value, what: str) -> np.ndarray:
@@ -156,14 +155,10 @@ def load_schedule(path) -> PhaseSchedule:
         raw = data["breakpoints"]
         times = np.array(reals([row[0] for row in raw], "breakpoint times"))
         values = np.deg2rad(np.array([reals(row[1], "breakpoint phases") for row in raw]))
-    # a ValueError is a ConfigError from the checks, or ragged phase rows
+        schedule = PhaseSchedule(dim, "custom", times=times, values=values)
+    # every check raises a SagnacsimError, a ValueError, as ragged phase rows do
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule file {path}: {exc}") from exc
-    if values.ndim != 2 or dim != values.shape[1]:
-        raise ScheduleError(
-            f"malformed schedule file {path}: dim {dim!r} does not match the phase rows"
-        )
-    schedule = PhaseSchedule(dim, "custom", times=times, values=values)
     # the grid can fall between two breakpoints, so the breakpoint rows are checked too
     if not (check_su(schedule, 1001) and np.all(np.abs(np.sum(values, axis=1)) <= SU_TOL)):
         raise ScheduleError(f"schedule in {path} violates the SU(d) phase-sum condition")

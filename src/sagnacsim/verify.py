@@ -90,7 +90,8 @@ def check_oracle_equivalence(
                 return CheckResult(
                     "oracle-equivalence", False,
                     f"trial {i}: d={s.dim} theta={theta:.6f} phi={phi:.6f} "
-                    f"xi={np.array2string(xi, precision=6)} |diff|={diff:.3e}",
+                    f"xi={np.array2string(xi, precision=6, max_line_width=np.inf)} "
+                    f"|diff|={diff:.3e}",
                 )
             worst = max(worst, diff)
     return CheckResult(

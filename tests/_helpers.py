@@ -1,8 +1,11 @@
-"""Shared assertion helpers for the test suite, and a reference state chain.
+"""Shared assertion helpers for the test suite, a reference state chain, and
+an entanglement measure.
 
 ``DiagonalPhaseOp``, ``apply_signal_phases`` and ``inner_product`` step a
 state through a schedule one ``BipartiteQuditState`` at a time; the
 kinematic-phase tests check the package's array code against this chain.
+``i_concurrence`` measures how entangled a state is; the tests use it to
+check that ``make_antisymmetric_mes`` gives maximally entangled states.
 """
 
 from dataclasses import dataclass
@@ -65,3 +68,11 @@ def inner_product(a: BipartiteQuditState, b: BipartiteQuditState) -> complex:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} != {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def i_concurrence(state: BipartiteQuditState) -> float:
+    """I-concurrence sqrt(2 * (1 - Tr rho_signal^2)) of a pure state."""
+    a = state.amplitudes
+    rho = a @ a.conj().T  # reduced density matrix of the signal photon
+    purity = float(np.sum(np.abs(rho) ** 2))
+    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))

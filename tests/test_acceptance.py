@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import circular_diff
+from _helpers import circular_diff, i_concurrence
 from sagnacsim import (
     CampaignSpec,
     ExperimentConfig,
@@ -21,7 +21,6 @@ from sagnacsim import (
     fit_fringe,
     fold_angle,
     generate_scan,
-    i_concurrence,
     kinematic_phase,
     make_antisymmetric_mes,
     phase_shift,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sagnacsim import (
     FitError,
     FitResult,
     FringeScan,
+    InvalidDimensionError,
     LowVisibilityError,
     PhaseSchedule,
     builtin_schedule,
@@ -21,7 +24,8 @@ from sagnacsim import (
     make_antisymmetric_mes,
     phase_shift,
 )
-from sagnacsim.analysis import FIT_VERSION
+from sagnacsim.analysis import FIT_VERSION, MIN_VISIBILITY
+from sagnacsim.sagnac import DEFAULT_THETA_GRID
 
 THETAS = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 5.0))
 
@@ -92,6 +96,36 @@ class TestFitFringe:
         assert report["fit_version"] == FIT_VERSION == 2
         assert report["iterations"] == fit.iterations >= 1
         assert report["termination"] == fit.termination
+
+    # Bernoulli counts on short irregular grids, found by a seeded search: the
+    # first ends with c0 < 0, so a negative visibility, the second with a
+    # negative frequency; each must be flipped into the canonical form
+    @pytest.mark.parametrize("thetas, counts, visibility, frequency, phase", [
+        ([0.0, 0.04, 0.27, 0.46, 1.43, 1.91, 1.95, 2.01, 2.14], [1, 0, 1, 0, 0, 0, 1, 0, 0],
+         1.0, 3.9330432918839318, 5.640489580155415),
+        ([0.0, 0.09, 0.38, 0.62, 0.64, 0.78, 1.04, 1.2, 1.22, 1.83],
+         [0, 0, 1, 0, 0, 0, 1, 1, 0, 1], 0.95885132465934, 0.43158370047412875,
+         0.7488747731258808),
+    ], ids=["negative-visibility", "negative-frequency"])
+    def test_canonical_form(self, thetas, counts, visibility, frequency, phase):
+        fit = fit_fringe(FringeScan(0.0, np.array(thetas), np.array(counts), "sampled"))
+        assert fit.visibility == pytest.approx(visibility, abs=1e-9)
+        assert fit.frequency == pytest.approx(frequency, abs=1e-9)
+        assert fit.phase == pytest.approx(phase, abs=1e-9)
+
+    def test_flat_poisson_scan_needs_many_halvings(self):
+        # with only two halvings per step this fit stalls after its first step
+        counts = np.random.default_rng(31).poisson(500, DEFAULT_THETA_GRID.size)
+        fit = fit_fringe(FringeScan(0.0, DEFAULT_THETA_GRID, counts, "sampled"))
+        assert (fit.termination, fit.iterations) == ("converged", 14)
+
+    def test_singular_normal_matrix_stalls(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+        assert (fit.termination, fit.iterations) == ("stalled", 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_exact_builtin_scans_stop_at_the_floor(self, d):
@@ -185,6 +219,13 @@ class TestPhaseShift:
         with pytest.raises(LowVisibilityError):
             phase_shift(flat, ref)
 
+    def test_visibility_at_threshold_rejected(self):
+        cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3))
+        ref = fit_fringe(generate_scan(cfg, 0.0, mode="exact"))
+        edge = dataclasses.replace(ref, visibility=MIN_VISIBILITY)
+        with pytest.raises(LowVisibilityError):
+            phase_shift(ref, edge)
+
     def test_invariant_under_count_scaling(self):
         cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=9)
         ref = generate_scan(cfg, 0.0)
@@ -258,6 +299,10 @@ class TestKinematicPhase:
         )
         with pytest.raises(DegenerateLoopError):
             kinematic_phase(state, sched, 200)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidDimensionError):
+            kinematic_phase(make_antisymmetric_mes(3), builtin_schedule(2), 200)
 
     def test_too_few_steps(self):
         with pytest.raises(FitError):

@@ -186,6 +186,8 @@ def test_bad_field_same_error_in_simulate_and_campaign(tmp_path, capsys, field, 
     ("simulate", {"t": True}),
     ("simulate", {"schedule_file": 5}),
     ("simulate", {"out_dir": 5}),
+    ("simulate", {"dims": [2]}),
+    ("simulate", {"t_values": [0]}),
 ])
 def test_field_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, command, fields):
     monkeypatch.chdir(tmp_path)
@@ -467,9 +469,11 @@ class TestCampaign:
         assert run_cli("campaign", path) == 2
         assert capsys.readouterr().err.startswith("error: seed")
 
+    # the last spec gives distinct names, but its first two t values share a noise stream
     @pytest.mark.parametrize("field", [{"t_values": [0, 0.1234567, 0.1234568, 1]},
                                        {"t_values": [0, 0.5, 0.5, 1]},
-                                       {"dims": [3, 3]}])
+                                       {"dims": [3, 3]},
+                                       {"dims": [3], "t_values": [0, 1e-7, 1], "mode": "sampled"}])
     def test_colliding_output_names_rejected(self, tmp_path, capsys, field):
         path = self.write_spec(tmp_path, **field)
         out_dir = tmp_path / "out"
@@ -477,6 +481,28 @@ class TestCampaign:
         assert run_cli("campaign", path) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert list(out_dir.iterdir()) == []
+
+    def test_close_t_values_run_in_exact_mode(self, tmp_path):
+        # exact scans draw no noise, so t values 1e-7 apart need only distinct names
+        assert run_cli("campaign", self.write_spec(tmp_path, dims=[3], t_values=[0, 1e-7, 1])) == 0
+        assert (tmp_path / "out" / "scan_d3_t1e-07.csv").exists()
+
+    def test_missing_dims_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"mode": "exact", "out_dir": str(tmp_path / "out")}))
+        assert run_cli("campaign", path) == 2
+        assert capsys.readouterr().err == "error: campaign needs at least one dimension\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_file_with_two_dims_rejected(self, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({
+            "dim": 2, "breakpoints": [[0.0, [0.0, 0.0]], [1.0, [180.0, -180.0]]],
+        }))
+        assert run_cli("campaign", self.write_spec(tmp_path, dims=[2, 3],
+                                                   schedule_file=str(sched))) == 2
+        assert "a custom schedule file implies a single dimension" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides_dir(self, tmp_path):
         path = self.write_spec(tmp_path, dims=[2])

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import DiagonalPhaseOp, apply_signal_phases, inner_product
+from _helpers import DiagonalPhaseOp, apply_signal_phases, i_concurrence, inner_product
 from sagnacsim import (
     BipartiteQuditState,
     ConfigError,
     DimensionMismatchError,
     InvalidDimensionError,
     NormalizationError,
-    i_concurrence,
     make_antisymmetric_mes,
 )
 

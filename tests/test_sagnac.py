@@ -118,6 +118,10 @@ class TestCircuitOracle:
             phi = rng.uniform(0.0, np.pi)
             assert abs(circuit_oracle(s, xi, theta, phi) - coincidence_full(s, xi, theta)) < 1e-12
 
+    def test_phase_length_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            circuit_oracle(make_antisymmetric_mes(3), [0.0, 0.0], 0.1)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_null_at_origin(self, d):
         assert circuit_oracle(make_antisymmetric_mes(d), np.zeros(d), 0.0) == pytest.approx(
@@ -172,6 +176,10 @@ class TestFringeScan:
             FringeScan(0.0, thetas, np.array([1, -2, 3]), "sampled")
         with pytest.raises(ConfigError):
             FringeScan(0.0, thetas, np.zeros(3), "other")
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="matching shapes"):
+            FringeScan(0.0, np.array([0.0, 0.1, 0.2]), np.zeros(4), "exact")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])

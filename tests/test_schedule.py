@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -130,6 +131,10 @@ class TestCustomSchedules:
         with pytest.raises(ScheduleError):  # single breakpoint
             PhaseSchedule(2, "custom", times=[0.0], values=np.zeros((1, 2)))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ScheduleError, match="unknown schedule kind"):
+            PhaseSchedule(2, "bogus")
+
     @pytest.mark.parametrize("times, values", [
         ([0.0, np.nan, 1.0], np.zeros((3, 2))),
         ([0.0, 0.5, 1.0], [[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]]),
@@ -217,6 +222,20 @@ class TestLoader:
                             [0.4, [5.0, -5.0]], [1.0, [0.0, 0.0]]],
         }))
         with pytest.raises(ScheduleError):
+            load_schedule(path)
+
+    @pytest.mark.parametrize("dim, breakpoints", [
+        (2, [[0.0, [0.0, 0.0, 0.0]], [1.0, [180.0, -180.0, 0.0]]]),
+        (3, [[0.0, [0.0, 0.0]], [1.0, [180.0, -180.0]]]),
+        (2, [[0.0, [0.0, 0.0]], [0.8, [10.0, -10.0]], [0.4, [5.0, -5.0]], [1.0, [0.0, 0.0]]]),
+        (2, [[0.0, [10.0, -10.0]], [1.0, [180.0, -180.0]]]),
+        (2, [[0.0, [0.0, 0.0]], [0.5, [180.0, -180.0]]]),
+    ], ids=["rows-too-wide", "rows-too-narrow", "unsorted", "nonzero-start", "short"])
+    def test_structural_errors_name_the_file(self, tmp_path, dim, breakpoints):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"dim": dim, "breakpoints": breakpoints}))
+        prefix = f"malformed schedule file {path}: "
+        with pytest.raises(ScheduleError, match="^" + re.escape(prefix)):
             load_schedule(path)
 
     def test_loader_rejects_malformed(self, tmp_path):

@@ -153,6 +153,13 @@ def test_nan_value_fails_its_check(monkeypatch, capsys, check, route, nan_route)
     assert out.count("[FAIL]") == 1 and f"[FAIL] {check}: " in out and "=nan" in out
 
 
+def test_d6_failure_report_is_one_line(monkeypatch):
+    # the first trial of seed 0 is d = 6, whose phases numpy would wrap at 75 characters
+    monkeypatch.setattr(verify, "circuit_oracle", lambda s, xi, theta, phi=0.0: NAN)
+    result = verify.check_oracle_equivalence(20, np.random.default_rng(0))
+    assert result.detail.startswith("trial 0: d=6 ") and "\n" not in result.detail
+
+
 @pytest.mark.parametrize("phase", ["geometric", "dynamical"])
 def test_nan_kinematic_phase_fails_agreement(monkeypatch, capsys, phase):
     real = verify.kinematic_phase
