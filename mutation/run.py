@@ -65,9 +65,9 @@ MUTANTS = [
      "unknown schedule kind"),
     # scans: model, sampling and IO
     ("sagnac.py", "if grid.size == 0:", "if False:", "caught", "empty theta grid"),
-    ("sagnac.py", "if np.any(np.diff(grid) <= 0.0):", "if False:", "caught",
+    ("sagnac.py", "if (np.diff(grid) <= 0.0).any():", "if False:", "caught",
      "non-increasing theta grid"),
-    ("sagnac.py", "if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):",
+    ("sagnac.py", "if not (np.isfinite(thetas).all() and np.isfinite(values).all()):",
      "if False:", "caught", "non-finite scan values"),
     ("sagnac.py", "if values.shape != thetas.shape:", "if False:", "caught",
      "thetas and values of different shapes"),
@@ -94,9 +94,13 @@ MUTANTS = [
      "caught", "visibility exactly at the threshold accepted"),
     ("analysis.py", "np.mod(fit_ref.phase - fit_op.phase, TWO_PI)",
      "np.mod(fit_op.phase - fit_ref.phase, TWO_PI)", "caught", "shift of the wrong sign"),
+    ("analysis.py", "if not fit.amplitude > 0.0:", "if False:", "caught",
+     "fit with a negative amplitude accepted"),
     # the kinematic phase
     ("analysis.py", "dynamical = (4.0 * dynamical - dyn_coarse) / 3.0", "pass", "caught",
      "Richardson step dropped"),
+    ("analysis.py", "increments[1::2]", "increments[0::2]", "caught",
+     "half-resolution chain squares each even increment"),
     ("analysis.py", "if steps < 100:", "if False:", "caught", "too few steps"),
     ("analysis.py", "if schedule.dim != state.dim:", "if False:", "caught",
      "schedule and state of different dimensions"),

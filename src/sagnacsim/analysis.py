@@ -56,7 +56,7 @@ class FitResult:
     @property
     def sigmas(self) -> np.ndarray:
         """1-sigma uncertainties of (amplitude, visibility, frequency, phase)."""
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return np.sqrt(np.diag(self.covariance).clip(0.0, None))
 
     @property
     def phase_sigma(self) -> float:
@@ -145,7 +145,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
             f"scan spans {theta[-1] - theta[0]:.3f} rad, need >= {MIN_SPAN:.3f} (one period)"
         )
 
-    y_max, y_min = float(np.max(y)), float(np.min(y))
+    y_max, y_min = float(y.max()), float(y.min())
     if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):
         cov = np.zeros((4, 4))
         return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, cov, 0.0, n,
@@ -205,13 +205,17 @@ def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:
     Returns (shift, sigma) in radians with the shift in [0, 2*pi): the
     operated pattern C_ref(theta - shift/a) has fitted phase
     b_op = b_ref - shift, so the displacement is (b_ref - b_op) mod 2*pi.
-    Both fits must have a defined phase and visibility above 0.05.
+    Both fits must have a defined phase, visibility above 0.05 and a positive
+    amplitude: with A <= 0 the reported (A, v, b) do not describe the fitted
+    curve, since the visibility is clamped to [0, 1].
     """
     for name, fit in (("reference", fit_ref), ("operated", fit_op)):
         if not fit.b_defined or fit.visibility <= MIN_VISIBILITY:
             raise LowVisibilityError(
                 f"{name} fit has visibility {fit.visibility:.3f} <= {MIN_VISIBILITY}"
             )
+        if not fit.amplitude > 0.0:
+            raise LowVisibilityError(f"{name} fit has amplitude {fit.amplitude:.3g} <= 0")
     shift = float(np.mod(fit_ref.phase - fit_op.phase, TWO_PI))
     sigma = float(np.hypot(fit_ref.phase_sigma, fit_op.phase_sigma))
     return shift, sigma
@@ -274,15 +278,17 @@ def kinematic_phase(
         raise DegenerateLoopError("endpoints are orthogonal; total phase undefined")
     total = float(np.angle(closing))
 
-    # row j holds exp(i(xi(t_j+1) - xi(t_j))), the factor of <psi_j|psi_j+1>
-    delta = xi[1:] - xi[:-1]
-    increments = np.empty(delta.shape, dtype=complex)
-    np.cos(delta, out=increments.real)
-    np.sin(delta, out=increments.imag)
+    # row j holds exp(i(xi(t_j+1) - xi(t_j))), the factor of <psi_j|psi_j+1>,
+    # built in this one buffer: the sin is taken before the cos overwrites the increment
+    increments = np.empty((steps, state.dim), dtype=complex)
+    np.subtract(xi[1:], xi[:-1], out=increments.real)
+    np.sin(increments.real, out=increments.imag)
+    np.cos(increments.real, out=increments.real)
     dynamical = float(np.sum(np.angle(increments @ weights)))
     if steps % 2 == 0:
-        # the nested half-resolution chain, from products of increment pairs
-        pairs = increments[0::2] * increments[1::2]
+        # the nested half-resolution chain, from products of increment pairs,
+        # written over the even rows once the fine chain is summed
+        pairs = np.multiply(increments[0::2], increments[1::2], out=increments[0::2])
         dyn_coarse = float(np.sum(np.angle(pairs @ weights)))
         dynamical = (4.0 * dynamical - dyn_coarse) / 3.0
     geometric = fold_angle(total - dynamical)

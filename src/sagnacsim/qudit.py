@@ -8,6 +8,7 @@ complex matrix of amplitudes ``alpha[m, n]`` for the signal photon in slit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,11 +74,14 @@ class BipartiteQuditState:
         return cls(dim, np.array(real) + 1j * np.array(imag))
 
 
+# typed: 3.0 == 3 and hashes alike, and must still be refused after a call with 3
+@lru_cache(maxsize=16, typed=True)
 def make_antisymmetric_mes(d: int) -> BipartiteQuditState:
     """Maximally entangled state with anti-diagonal support.
 
     Amplitudes alpha[m, d-1-m] = 1/sqrt(d) (slit m pairs with slit d-m+1 in
-    1-based labels), all other entries zero.
+    1-based labels), all other entries zero.  The state is immutable, so one
+    instance per dimension is built and shared by every caller.
     """
     if d < 2:
         raise InvalidDimensionError(f"qudit dimension must be >= 2, got {d}")

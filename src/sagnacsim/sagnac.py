@@ -169,7 +169,7 @@ class ExperimentConfig:
         grid = np.asarray(self.theta_grid, dtype=float)
         if grid.size == 0:
             raise ConfigError("theta grid must not be empty")
-        if np.any(np.diff(grid) <= 0.0):
+        if (np.diff(grid) <= 0.0).any():
             raise ConfigError("theta grid must be strictly increasing")
         contrast = _real(self.contrast, "contrast")
         if not 0.0 <= contrast <= 1.0:
@@ -202,19 +202,19 @@ class FringeScan:
     def __post_init__(self) -> None:
         thetas = np.asarray(self.thetas, dtype=float)
         values = np.asarray(self.values)
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
+        if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise ConfigError("scan thetas and values must be finite")
-        if np.any(np.diff(thetas) <= 0.0):
+        if (np.diff(thetas) <= 0.0).any():
             raise ConfigError("scan thetas must be strictly increasing")
         if values.shape != thetas.shape:
             raise ConfigError("thetas and values must have matching shapes")
         if self.mode == "exact":
             values = values.astype(float)
-            if np.any(values < 0.0) or np.any(values > 1.0):
+            if (values < 0.0).any() or (values > 1.0).any():
                 raise ConfigError("exact-mode probabilities must lie in [0, 1]")
         elif self.mode == "sampled":
             values = values.astype(np.int64)
-            if np.any(values < 0):
+            if (values < 0).any():
                 raise ConfigError("sampled counts must be nonnegative")
         else:
             raise ConfigError(f"unknown scan mode {self.mode!r}")
@@ -238,7 +238,7 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     mes = make_antisymmetric_mes(cfg.dim)
     p = coincidence_full(mes, xi, cfg.theta_grid)
     # rounding can overshoot the closed interval by ~1 ulp
-    p_eff = np.clip(0.5 + cfg.contrast * (p - 0.5), 0.0, 1.0)
+    p_eff = (0.5 + cfg.contrast * (p - 0.5)).clip(0.0, 1.0)
     if mode == "exact":
         return FringeScan(t, cfg.theta_grid, p_eff, "exact")
     if mode == "sampled":

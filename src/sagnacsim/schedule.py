@@ -26,23 +26,25 @@ BUILTIN_DIMS = (2, 3, 4)
 
 
 def _builtin_phases(d: int, t: np.ndarray) -> np.ndarray:
+    # each column is written straight into one (..., d) output, not stacked
+    xi = np.empty(t.shape + (d,))
     if d == 2:
-        return np.stack([np.pi * t, -np.pi * t], axis=-1)
+        xi[..., 0] = np.pi * t
+        xi[..., 1] = -np.pi * t
+        return xi
     # right-continuous step at the break: 1 for t >= 0.5, 0 before
     h = (t >= 0.5).astype(float)
     if d == 3:
-        return np.stack([
-            2.0 * np.pi / 3.0 * (2.0 * t - (2.0 * t - 1.0) * h),
-            -4.0 * np.pi / 3.0 * t,
-            2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h,
-        ], axis=-1)
+        xi[..., 0] = 2.0 * np.pi / 3.0 * (2.0 * t - (2.0 * t - 1.0) * h)
+        xi[..., 1] = -4.0 * np.pi / 3.0 * t
+        xi[..., 2] = 2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h
+        return xi
     # d == 4: PhaseSchedule refuses every other d before it gets here
-    return np.stack([
-        np.pi / 2.0 * t,
-        -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h,
-        3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h,
-        -3.0 * np.pi / 2.0 * t,
-    ], axis=-1)
+    xi[..., 0] = np.pi / 2.0 * t
+    xi[..., 1] = -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h
+    xi[..., 2] = 3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h
+    xi[..., 3] = -3.0 * np.pi / 2.0 * t
+    return xi
 
 
 def _breakpoint_array(value, what: str) -> np.ndarray:
@@ -109,13 +111,14 @@ class PhaseSchedule:
         """
         t = np.asarray(t, dtype=float)
         bad = ~((t >= 0.0) & (t <= 1.0))
-        if np.any(bad):
+        if bad.any():
             raise ScheduleError(f"t out of range: {t[bad].flat[0]} not in [0, 1]")
         if self.kind == "builtin":
             return _builtin_phases(self.dim, t)
-        return np.stack([
-            np.interp(t, self._times, self._values[:, k]) for k in range(self.dim)
-        ], axis=-1)
+        xi = np.empty(t.shape + (self.dim,))
+        for k in range(self.dim):
+            xi[..., k] = np.interp(t, self._times, self._values[:, k])
+        return xi
 
     @property
     def breakpoints(self):

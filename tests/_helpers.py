@@ -1,11 +1,16 @@
-"""Shared assertion helpers for the test suite, a reference state chain, and
-an entanglement measure.
+"""Shared assertion helpers for the test suite, a reference state chain, a
+reference schedule evaluator, and an entanglement measure.
 
 ``DiagonalPhaseOp``, ``apply_signal_phases`` and ``inner_product`` step a
 state through a schedule one ``BipartiteQuditState`` at a time; the
 kinematic-phase tests check the package's array code against this chain.
+``stacked_phases`` evaluates a schedule one phase column at a time and joins
+the columns with ``np.stack``; the schedule tests require the package's
+one-output evaluation to match it bit for bit.
 ``i_concurrence`` measures how entangled a state is; the tests use it to
 check that ``make_antisymmetric_mes`` gives maximally entangled states.
+``NEGATIVE_AMPLITUDE_THETAS`` and ``NEGATIVE_AMPLITUDE_COUNTS`` pin a count
+scan whose fit ends with a negative amplitude.
 """
 
 from dataclasses import dataclass
@@ -13,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from sagnacsim import BipartiteQuditState, DimensionMismatchError
+
+# Bernoulli counts on a short irregular grid, in radians, found by a seeded
+# search: the fit ends with c0 = -0.198, so a raw visibility of -4.42
+NEGATIVE_AMPLITUDE_THETAS = [0.0, 0.04, 0.27, 0.46, 1.43, 1.91, 1.95, 2.01, 2.14]
+NEGATIVE_AMPLITUDE_COUNTS = [1, 0, 1, 0, 0, 0, 1, 0, 0]
 
 
 def assert_equal_up_to_global_phase(a, b, tol=1e-12):
@@ -76,3 +86,31 @@ def i_concurrence(state: BipartiteQuditState) -> float:
     rho = a @ a.conj().T  # reduced density matrix of the signal photon
     purity = float(np.sum(np.abs(rho) ** 2))
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+
+
+def stacked_phases(schedule, t) -> np.ndarray:
+    """Phases of a built-in or custom ``PhaseSchedule`` at t, one array per
+    column joined by ``np.stack``: shape (d,) for a scalar t, (..., d) else."""
+    t = np.asarray(t, dtype=float)
+    d = schedule.dim
+    if schedule.kind == "custom":
+        times, values = schedule.breakpoints
+        columns = [np.interp(t, times, values[:, k]) for k in range(d)]
+    elif d == 2:
+        columns = [np.pi * t, -np.pi * t]
+    else:
+        h = (t >= 0.5).astype(float)
+        if d == 3:
+            columns = [
+                2.0 * np.pi / 3.0 * (2.0 * t - (2.0 * t - 1.0) * h),
+                -4.0 * np.pi / 3.0 * t,
+                2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h,
+            ]
+        else:
+            columns = [
+                np.pi / 2.0 * t,
+                -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h,
+                3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h,
+                -3.0 * np.pi / 2.0 * t,
+            ]
+    return np.stack(columns, axis=-1)

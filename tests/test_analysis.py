@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import DiagonalPhaseOp, apply_signal_phases, circular_diff, inner_product
+from _helpers import (
+    NEGATIVE_AMPLITUDE_COUNTS,
+    NEGATIVE_AMPLITUDE_THETAS,
+    DiagonalPhaseOp,
+    apply_signal_phases,
+    circular_diff,
+    inner_product,
+)
 from sagnacsim import (
     BipartiteQuditState,
     DegenerateLoopError,
@@ -101,7 +108,7 @@ class TestFitFringe:
     # first ends with c0 < 0, so a negative visibility, the second with a
     # negative frequency; each must be flipped into the canonical form
     @pytest.mark.parametrize("thetas, counts, visibility, frequency, phase", [
-        ([0.0, 0.04, 0.27, 0.46, 1.43, 1.91, 1.95, 2.01, 2.14], [1, 0, 1, 0, 0, 0, 1, 0, 0],
+        (NEGATIVE_AMPLITUDE_THETAS, NEGATIVE_AMPLITUDE_COUNTS,
          1.0, 3.9330432918839318, 5.640489580155415),
         ([0.0, 0.09, 0.38, 0.62, 0.64, 0.78, 1.04, 1.2, 1.22, 1.83],
          [0, 0, 1, 0, 0, 0, 1, 1, 0, 1], 0.95885132465934, 0.43158370047412875,
@@ -226,6 +233,17 @@ class TestPhaseShift:
         with pytest.raises(LowVisibilityError):
             phase_shift(ref, edge)
 
+    def test_negative_amplitude_rejected(self):
+        good = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+        scan = FringeScan(0.0, np.array(NEGATIVE_AMPLITUDE_THETAS),
+                          np.array(NEGATIVE_AMPLITUDE_COUNTS), "sampled")
+        bad = fit_fringe(scan)
+        assert bad.amplitude < 0.0 and bad.visibility > MIN_VISIBILITY
+        with pytest.raises(LowVisibilityError, match=r"operated fit has amplitude -0\.198 <= 0"):
+            phase_shift(good, bad)
+        with pytest.raises(LowVisibilityError, match="reference fit has amplitude"):
+            phase_shift(bad, good)
+
     def test_invariant_under_count_scaling(self):
         cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=9)
         ref = generate_scan(cfg, 0.0)
@@ -261,15 +279,22 @@ class TestKinematicPhase:
             fine = kinematic_phase(make_antisymmetric_mes(d), builtin_schedule(d), 20_000)
             assert circular_diff(fine.geometric, coarse.geometric) < 1e-8
 
-    def test_reparameterization_invariance(self):
-        class Squared:
-            def __init__(self, inner):
-                self.inner = inner
-                self.dim = inner.dim
+    def test_schedule_output_not_written(self):
+        sched = builtin_schedule(3)
+
+        class ReadOnly:
+            dim = sched.dim
 
             def __call__(self, t):
-                return self.inner(t * t)
+                xi = sched(t)
+                xi.setflags(write=False)
+                return xi
 
+        mes = make_antisymmetric_mes(3)
+        for steps in (1000, 1001):
+            assert kinematic_phase(mes, ReadOnly(), steps) == kinematic_phase(mes, sched, steps)
+
+    def test_reparameterization_invariance(self):
         for d in (2, 3, 4):
             sched = builtin_schedule(d)
             direct = kinematic_phase(make_antisymmetric_mes(d), sched, 10_000)
@@ -313,6 +338,17 @@ class TestKinematicPhase:
         report = kin.to_json_dict()
         assert report["degrees"]["geometric_deg"] == pytest.approx(180.0, abs=1e-4)
         assert report["steps"] == 200
+
+
+class Squared:
+    """A schedule run at t^2: the same loop along a curved parameterization."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def __call__(self, t):
+        return self.inner(t * t)
 
 
 def reference_kinematic(state, schedule, steps):
@@ -359,6 +395,14 @@ class TestKinematicReference:
             rows.append(row - row.mean())
         sched = PhaseSchedule(d, "custom", times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
         self.assert_matches_reference(state, sched, steps)
+
+    def test_curved_schedule(self):
+        # neighbouring increments differ all along a curved path, so the
+        # half-grid chain must pair each increment with the one after it
+        rng = np.random.default_rng(37)
+        amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        state = BipartiteQuditState(3, amps / np.linalg.norm(amps))
+        self.assert_matches_reference(state, Squared(builtin_schedule(3)), 2000)
 
 
 class TestClosedLoopConsistency:

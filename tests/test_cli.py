@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sagnacsim
+from _helpers import NEGATIVE_AMPLITUDE_COUNTS, NEGATIVE_AMPLITUDE_THETAS
 from sagnacsim import CampaignSpec, make_antisymmetric_mes
 from sagnacsim.cli import main
 
@@ -286,6 +287,16 @@ class TestFit:
         capsys.readouterr()
         assert run_cli("fit", flat, "--ref", ref) == 1
         assert "visibility" in capsys.readouterr().err
+
+    def test_negative_amplitude_operand_exits_1(self, tmp_path, capsys):
+        op = tmp_path / "negative.csv"
+        op.write_text("theta_deg,counts\n" + "".join(
+            f"{np.rad2deg(theta):.17g},{count}\n" for theta, count in
+            zip(NEGATIVE_AMPLITUDE_THETAS, NEGATIVE_AMPLITUDE_COUNTS)))
+        ref = make_scan(tmp_path, "t0.csv", "--d", 2, "--t", 0, "--exact")
+        capsys.readouterr()
+        assert run_cli("fit", op, "--ref", ref) == 1
+        assert "operated fit has amplitude -0.198 <= 0" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("fit", tmp_path / "nope.csv") == 2

@@ -47,6 +47,19 @@ class TestMakeAntisymmetricMes:
         with pytest.raises(InvalidDimensionError):
             make_antisymmetric_mes(d)
 
+    def test_one_shared_immutable_state_per_dimension(self):
+        mes = make_antisymmetric_mes(3)
+        assert make_antisymmetric_mes(3) is mes
+        assert not mes.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            mes.amplitudes[0, 2] = 0.0
+        # 3.0 == 3 with the same hash; the shared state must not answer for it
+        with pytest.raises(TypeError):
+            make_antisymmetric_mes(3.0)
+        same = make_antisymmetric_mes(np.int64(3))
+        assert same.dim == 3 and type(same.dim) is int
+        assert np.array_equal(same.amplitudes, mes.amplitudes)
+
 
 class TestStateValidation:
     def test_rejects_unnormalized(self):

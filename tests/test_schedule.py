@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import circular_diff
+from _helpers import circular_diff, stacked_phases
 from sagnacsim import (
     ConfigError,
     InvalidDimensionError,
@@ -66,6 +66,24 @@ class TestEval:
     def test_out_of_range(self, t):
         with pytest.raises(ScheduleError):
             builtin_schedule(2)(t)
+
+    # both grids hold t = 0.5 exactly, where the d = 3 and d = 4 steps switch on
+    @pytest.mark.parametrize("t", [
+        0.5, 0.0, 1.0, 0.3, np.float64(0.7), np.array(0.5),
+        np.linspace(0.0, 1.0, 101),
+        np.linspace(0.0, 1.0, 25).reshape(5, 5),
+    ], ids=["0.5", "0", "1", "0.3", "float64", "0-d", "1-d", "2-d"])
+    @pytest.mark.parametrize("schedule", [
+        builtin_schedule(2), builtin_schedule(3), builtin_schedule(4),
+        PhaseSchedule(3, "custom", times=[0.0, 0.5, 0.8, 1.0],
+                      values=[[0.0, 0.0, 0.0], [1.0, -0.25, -0.75], [-2.0, 3.0, -1.0],
+                              [2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0, -4.0 * np.pi / 3.0]]),
+    ], ids=["d2", "d3", "d4", "custom"])
+    def test_bit_identical_to_stacked_columns(self, schedule, t):
+        got, want = schedule(t), stacked_phases(schedule, t)
+        assert got.shape == want.shape == np.shape(t) + (schedule.dim,)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestContinuityAndCyclicity:
