@@ -404,8 +404,9 @@ class TestCampaign:
         assert entry["shift_deg"] == pytest.approx(122.322121970394, abs=1e-6)
         assert abs(entry["shift_deg"] - 120.0) <= 3.0 * entry["sigma_deg"]
 
-    # sha256 of every output file, as written by the csv-module scan writer and the
-    # point-by-point SVG code that came before the column-wise ones
+    # sha256 of every output file: "exact" and "sampled" as written by the csv-module scan
+    # writer and the point-by-point SVG code that came before the column-wise ones, the
+    # other entries as written by the column-wise code
     FROZEN_SHA256 = {
         "exact": {
             "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
@@ -442,17 +443,91 @@ class TestCampaign:
             "scan_d3_t1.json": "b65ab36fb694d0a55566fa8634bc270d4db62e5423d7eee887f5e09fa6b2ee2a",
             "summary.json": "cdce7577036f77afcbb30c695cbefe5fb3776d915c2688c7305e469443ab9b7b",
         },
+        "exact-d234": {
+            "campaign.svg": "c97e6ddd144f016ea205bb9b308042ee395b96b60684cab11a48e124456f72b4",
+            "fit_d2_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
+            "fit_d2_t0.json": "39789933e52e9d32717d53d4b7f47d1e28ef9450d2fd52bad802b960b43c1536",
+            "fit_d2_t1.json": "092400384591912a40037a03064b053e6aa2974beed5d6a26df9586661e1c928",
+            "fit_d3_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
+            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
+            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
+            "fit_d4_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
+            "fit_d4_t0.json": "ec6b437fc9c6147d55f2fb9664f80cb0474c9e0dc88ab34a27a522730bbb20b9",
+            "fit_d4_t1.json": "90ceec1d95ab63e0eb399255d4a4ccd271198cd84a06f171d5eb2e4b5a89ecaa",
+            "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
+            "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
+            "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
+            "scan_d2_t0.json": "5ec931c76bd177fcf50ad7431f49ca400aa8b0102603d22b0dd3b0d13b4bc4eb",
+            "scan_d2_t1.csv": "e1cb97b409d8dd54de907b4a159068290304aa968de82a3e46680aeb594a822a",
+            "scan_d2_t1.json": "e6c9acf303bfec7c3216d7b30970fc99230e2087c5148b0da6b12dbd44398e84",
+            "scan_d3_t0.5.csv": "a598a812e732c8891d21019b3fb1f01315323a93615dd36f3dd8590d1c1618c9",
+            "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
+            "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
+            "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
+            "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
+            "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
+            "scan_d4_t0.5.csv": "8dbddc28657793e870bba5e97de1be1b908c6caca07b4c959ec8e541f0814a5e",
+            "scan_d4_t0.5.json": "9049a581d3c8aeb5f3f988c14043f774b821575acdeb2f534f2370fb5edd6b26",
+            "scan_d4_t0.csv": "a7f74aeabc936d7a41e69643068e2213c15b4dacb702caacd1065dbaf80218c2",
+            "scan_d4_t0.json": "852930196bfc1b955af82885982edd0b0713d5dae27f72b4696824e386155d62",
+            "scan_d4_t1.csv": "4a673ae8d7c688171ee837886888cb6439d8a3639846567d18488ad729c238a8",
+            "scan_d4_t1.json": "9f0d7cf49b8583ae934fb48e60f4bff58fcb222ade9eed7e344254527176e97f",
+            "summary.json": "2d606bf9b9de12e3d7173d0c671311232437531eea2bdc3b322b4f6310570387",
+        },
+        "fit-ref": {
+            "fit_ref_d2.json": "c629694a67dc9f121aa5aa30227d2467146b8005ddeae849d7a2d445949e8b8e",
+            "fit_ref_d3.json": "6f64f808392854f242e55c07fb190b4878f9c0a769b77d3f94ad741e58d56145",
+            "fit_ref_d4.json": "2dc32362c414d5e7dc57c6c8e9728d59e9590bd62d9af4cabf4b337f8334b229",
+        },
+        "schedule-file": {
+            "campaign.svg": "13f9b7fbe5a5f1db29b66cf333b3b1f4849a8c3c658bdb77e69d838f70cf2bb9",
+            "fit_d3_t0.5.json": "7f9ca086145b086617a212c5bf2a9a7521fff5fa4a230daee6360ceb94ef07cf",
+            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
+            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
+            "scan_d3_t0.5.csv": "76d61f1038f4aa8d0f15b77d8ad6551f76c7014a4386ecbba098b81b6dc785dd",
+            "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
+            "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
+            "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
+            "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
+            "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
+            "summary.json": "03fa21af655c2abb6dda6d9b82debaaf79862524d338bc51ee75f9e5741c3749",
+        },
     }
 
+    # a d = 3 loop given as breakpoints, not the built-in closed form; it ends in class 1
+    SCHEDULE = {"dim": 3, "breakpoints": [[0.0, [0.0, 0.0, 0.0]], [0.5, [90.0, 30.0, -120.0]],
+                                          [1.0, [120.0, 120.0, -240.0]]]}
+
+    @staticmethod
+    def digests(directory):
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(directory.iterdir())}
+
+    # "exact-d234" draws three fringe panels and the shift panel on a 2 x 2 grid
     @pytest.mark.parametrize("name, fields", [
         ("exact", {"dims": [2, 3], "t_values": [0, 0.5, 1]}),
         ("sampled", {"dims": [3], "mode": "sampled", "t_values": [0, 0.25, 1], "seed": 1}),
+        ("exact-d234", {"dims": [2, 3, 4], "t_values": [0, 0.5, 1]}),
     ])
     def test_output_bytes_frozen(self, tmp_path, name, fields):
         assert run_cli("campaign", self.write_spec(tmp_path, **fields)) == 0
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in sorted((tmp_path / "out").iterdir())}
-        assert digests == self.FROZEN_SHA256[name]
+        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256[name]
+
+    def test_schedule_file_output_bytes_frozen(self, tmp_path):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps(self.SCHEDULE))
+        path = self.write_spec(tmp_path, dims=[3], t_values=[0, 0.5, 1], schedule_file=str(sched))
+        assert run_cli("campaign", path) == 0
+        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256["schedule-file"]
+
+    def test_fit_ref_reports_frozen(self, tmp_path):
+        assert run_cli("campaign", self.write_spec(tmp_path, t_values=[0, 0.5, 1])) == 0
+        out, reports = tmp_path / "out", tmp_path / "reports"
+        reports.mkdir()
+        for d in (2, 3, 4):
+            assert run_cli("fit", out / f"scan_d{d}_t1.csv", "--ref", out / f"scan_d{d}_t0.csv",
+                           "--out", reports / f"fit_ref_d{d}.json") == 0
+        assert self.digests(reports) == self.FROZEN_SHA256["fit-ref"]
 
     def test_empty_t_values_rejected(self, tmp_path, capsys):
         path = self.write_spec(tmp_path, t_values=[])
