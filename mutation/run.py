@@ -52,6 +52,7 @@ MUTANTS = [
     ("sagnac.py", "if xi.shape[-1:] != (d,):", "if False:", "caught",
      "coincidence_mes phase length"),
     ("qudit.py", "    if d < 2:", "    if False:", "caught", "MES of dimension below 2"),
+    ("qudit.py", "if dim < 2:", "if False:", "caught", "state of dimension below 2"),
     ("qudit.py", "amps[np.arange(d), d - 1 - np.arange(d)]", "amps[np.arange(d), np.arange(d)]",
      "caught", "diagonal support in place of anti-diagonal"),
     # schedules
@@ -67,6 +68,12 @@ MUTANTS = [
     ("sagnac.py", "if grid.size == 0:", "if False:", "caught", "empty theta grid"),
     ("sagnac.py", "if (np.diff(grid) <= 0.0).any():", "if False:", "caught",
      "non-increasing theta grid"),
+    ("sagnac.py", "grid = np.array(self.theta_grid, dtype=float)",
+     "grid = np.asarray(self.theta_grid, dtype=float)", "caught",
+     "config freezes the caller's theta grid"),
+    ("sagnac.py", "thetas = np.array(self.thetas, dtype=float)",
+     "thetas = np.asarray(self.thetas, dtype=float)", "caught",
+     "scan freezes the caller's thetas"),
     ("sagnac.py", "if not (np.isfinite(thetas).all() and np.isfinite(values).all()):",
      "if False:", "caught", "non-finite scan values"),
     ("sagnac.py", "if values.shape != thetas.shape:", "if False:", "caught",
@@ -120,6 +127,13 @@ MUTANTS = [
      "simulate config with dims or t_values"),
     ("verify.py", "precision=6, max_line_width=np.inf)", "precision=6)", "caught",
      "failure line wrapped at 75 characters"),
+    ("verify.py", "if not check_su(sched, 1001):", "if False:", "caught",
+     "built-in schedule with a nonzero phase sum passes"),
+    ("verify.py", "err = abs(fold_angle(xi_k - 2.0 * np.pi / d))", "err = 0.0", "caught",
+     "built-in schedule ending outside class 1 passes"),
+    # the figure
+    ("plotting.py", "if fit.b_defined:", "if True:", "caught",
+     "fitted curve drawn through a flat fit"),
 ]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import FIT_VERSION, FitResult, _model, fit_fringe, phase_shift
+from .analysis import FIT_VERSION, FitResult, fit_fringe, phase_shift
 from .errors import ConfigError, _integral, _items, _optional, _path, _real, load_json_object
 from .plotting import render_campaign_svg
 from .sagnac import (
@@ -17,7 +17,6 @@ from .sagnac import (
     DEFAULT_THETA_DEG,
     SCHEMA_VERSION,
     ExperimentConfig,
-    FringeScan,
     _stream_key,
     _theta_grid,
     generate_scan,
@@ -110,12 +109,6 @@ def _experiment_config(spec: CampaignSpec, d: int) -> ExperimentConfig:
     )
 
 
-def _fit_curve(fit: FitResult, theta_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dense_deg = np.linspace(float(theta_deg[0]), float(theta_deg[-1]), 200)
-    params = (fit.amplitude, fit.visibility, fit.frequency, fit.phase)
-    return dense_deg, _model(np.deg2rad(dense_deg), params)
-
-
 def run_campaign(spec: CampaignSpec) -> dict:
     """Run every (d, t) scan, fit, summarize, and render the figure.
 
@@ -134,12 +127,12 @@ def run_campaign(spec: CampaignSpec) -> dict:
     panels = []
     for d, cfg in zip(spec.dims, configs):
         fits: dict[float, FitResult] = {}
-        series = []
+        pairs = []
         for t in spec.t_values:
             scan = generate_scan(cfg, t, mode=spec.mode)
             fit = fits[t] = fit_fringe(scan)
             outputs.append((f"d{d}_t{t:g}", cfg, scan, fit))
-            series.append(_panel_series(scan, fit, t))
+            pairs.append((scan, fit))
         shift, sigma = phase_shift(fits[0.0], fits[1.0])
         results.append({
             "dim": d,
@@ -147,7 +140,7 @@ def run_campaign(spec: CampaignSpec) -> dict:
             "sigma_deg": float(np.rad2deg(sigma)),
             "theory_deg": 360.0 / d,
         })
-        panels.append({"title": f"d = {d} ({spec.mode})", "series": series})
+        panels.append((f"d = {d} ({spec.mode})", pairs))
     svg = render_campaign_svg(panels, results)
     summary = {"schema_version": SCHEMA_VERSION, "fit_version": FIT_VERSION,
                "mode": spec.mode, "results": results}
@@ -160,17 +153,3 @@ def run_campaign(spec: CampaignSpec) -> dict:
     (out_dir / "campaign.svg").write_text(svg)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
-
-
-def _panel_series(scan: FringeScan, fit: FitResult, t: float) -> dict:
-    theta_deg = np.rad2deg(scan.thetas)
-    series = {
-        "label": f"t = {t:g}",
-        "theta_deg": theta_deg,
-        "values": scan.values.astype(float),
-        "curve_theta_deg": None,
-        "curve_values": None,
-    }
-    if fit.b_defined:
-        series["curve_theta_deg"], series["curve_values"] = _fit_curve(fit, theta_deg)
-    return series

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import FitResult, _model
+from .sagnac import FringeScan
+
 PANEL_W = 460
 PANEL_H = 250
 MARGIN_L = 56
@@ -80,13 +83,19 @@ def _axis_map(lo, hi, pix_lo, pix_hi):
     return lambda v: pix_lo + (np.asarray(v) - lo) / span * (pix_hi - pix_lo)
 
 
-def _fringe_panel(canvas: _Canvas, ox: float, oy: float, title: str, series: list[dict]):
-    """Draw one fringe panel with origin (ox, oy) at its top-left corner."""
+def _fringe_panel(canvas: _Canvas, ox: float, oy: float, title: str,
+                  pairs: list[tuple[FringeScan, FitResult]]):
+    """Draw one fringe panel with origin (ox, oy) at its top-left corner.
+
+    Each (scan, fit) pair is one series: the scan's points, joined by the
+    fitted curve when the fit defines a phase, else by straight lines.
+    """
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T
-    theta_max = max(float(np.max(s["theta_deg"])) for s in series)
-    theta_min = min(float(np.min(s["theta_deg"])) for s in series)
-    v_max = max(float(np.max(s["values"])) for s in series)
+    thetas_deg = [np.rad2deg(scan.thetas) for scan, _ in pairs]  # increasing, as scans are
+    theta_max = max(float(th[-1]) for th in thetas_deg)
+    theta_min = min(float(th[0]) for th in thetas_deg)
+    v_max = max(float(scan.values.max()) for scan, _ in pairs)
     v_max = v_max if v_max > 0 else 1.0
     to_x = _axis_map(theta_min, theta_max, x0, x1)
     to_y = _axis_map(0.0, 1.05 * v_max, y0, y1)
@@ -105,16 +114,19 @@ def _fringe_panel(canvas: _Canvas, ox: float, oy: float, title: str, series: lis
     canvas.text((x0 + x1) / 2, oy + PANEL_H - 6, "phase shifter angle (deg)", anchor="middle")
     canvas.text(ox + 10, oy + 16, title, size=12)
 
-    for idx, s in enumerate(series):
+    for idx, ((scan, fit), theta_deg) in enumerate(zip(pairs, thetas_deg)):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
-        xs, ys = _coords(to_x(s["theta_deg"])), _coords(to_y(s["values"]))
+        xs, ys = _coords(to_x(theta_deg)), _coords(to_y(scan.values))
         canvas.circles(xs, ys, 2.0, color)
-        if s.get("curve_theta_deg") is not None:
-            cxs, cys = _coords(to_x(s["curve_theta_deg"])), _coords(to_y(s["curve_values"]))
-            canvas.polyline(cxs, cys, color, dash="4,3" if idx == 1 else None)
+        if fit.b_defined:
+            dense_deg = np.linspace(float(theta_deg[0]), float(theta_deg[-1]), 200)
+            curve = _model(np.deg2rad(dense_deg),
+                           (fit.amplitude, fit.visibility, fit.frequency, fit.phase))
+            canvas.polyline(_coords(to_x(dense_deg)), _coords(to_y(curve)), color,
+                            dash="4,3" if idx == 1 else None)
         else:
             canvas.polyline(xs, ys, color)
-        canvas.text(x1 - 64, y1 + 14 * (idx + 1), s["label"], color=color)
+        canvas.text(x1 - 64, y1 + 14 * (idx + 1), f"t = {scan.t:g}", color=color)
 
 
 def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
@@ -144,7 +156,7 @@ def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
                        fill=False)
         y = to_y(s["shift_deg"])
         canvas.square(x, y, 4.0, "#cc2222")
-        err = s.get("sigma_deg", 0.0) * 3.0
+        err = s["sigma_deg"] * 3.0
         if err > 0:
             canvas.line(x, to_y(s["shift_deg"] - err), x, to_y(s["shift_deg"] + err),
                         color="#cc2222", width=1.2)
@@ -152,21 +164,18 @@ def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
     canvas.text(x1 - 150, y1 + 28, "expected 360/d (circles)", color="#888888")
 
 
-def render_campaign_svg(fringe_panels: list[dict], shifts: list[dict]) -> str:
-    """Build the campaign figure: one fringe panel per dimension + shift chart.
+def render_campaign_svg(panels: list[tuple[str, list[tuple[FringeScan, FitResult]]]],
+                        shifts: list[dict]) -> str:
+    """Build the campaign figure: one fringe panel per dimension, then the shift chart.
 
-    ``fringe_panels``: [{title, series: [{label, theta_deg, values,
-    curve_theta_deg?, curve_values?}]}]; ``shifts``: [{dim, shift_deg,
-    sigma_deg, theory_deg}].
+    ``panels`` holds a (title, [(scan, fit), ...]) entry per dimension, and
+    ``shifts`` the summary's per-dimension results.
     """
     cols = 2
-    total = len(fringe_panels) + (1 if shifts else 0)
-    rows = (total + cols - 1) // cols
+    rows = len(panels) // cols + 1  # the shift chart takes the cell after the last panel
     canvas = _Canvas(cols * PANEL_W, rows * PANEL_H)
-    for i, panel in enumerate(fringe_panels):
-        ox, oy = (i % cols) * PANEL_W, (i // cols) * PANEL_H
-        _fringe_panel(canvas, ox, oy, panel["title"], panel["series"])
-    if shifts:
-        i = len(fringe_panels)
-        _shift_panel(canvas, (i % cols) * PANEL_W, (i // cols) * PANEL_H, shifts)
+    for i, (title, pairs) in enumerate(panels):
+        _fringe_panel(canvas, (i % cols) * PANEL_W, (i // cols) * PANEL_H, title, pairs)
+    i = len(panels)
+    _shift_panel(canvas, (i % cols) * PANEL_W, (i // cols) * PANEL_H, shifts)
     return canvas.render()

@@ -160,13 +160,13 @@ class ExperimentConfig:
 
     dim: int
     schedule: PhaseSchedule
-    theta_grid: np.ndarray = field(default_factory=lambda: DEFAULT_THETA_GRID.copy())
+    theta_grid: np.ndarray = field(default_factory=lambda: DEFAULT_THETA_GRID)
     counts_per_point: int = DEFAULT_COUNTS
     contrast: float = DEFAULT_CONTRAST
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.theta_grid, dtype=float)
+        grid = np.array(self.theta_grid, dtype=float)  # a copy: the read-only flag stays ours
         if grid.size == 0:
             raise ConfigError("theta grid must not be empty")
         if (np.diff(grid) <= 0.0).any():
@@ -200,7 +200,7 @@ class FringeScan:
     mode: str  # "exact" (probabilities) or "sampled" (counts)
 
     def __post_init__(self) -> None:
-        thetas = np.asarray(self.thetas, dtype=float)
+        thetas = np.array(self.thetas, dtype=float)  # a copy: the read-only flag stays ours
         values = np.asarray(self.values)
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise ConfigError("scan thetas and values must be finite")

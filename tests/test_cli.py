@@ -678,6 +678,12 @@ class TestVerify:
         state_path.write_text(json.dumps(make_antisymmetric_mes(3).to_json_dict()))
         assert run_cli("verify", "--trials", 10, "--state", state_path) == 0
 
+    def test_state_of_dimension_1_exits_2(self, tmp_path, capsys):
+        state_path = tmp_path / "state.json"
+        state_path.write_text('{"dim": 1, "real": [[1]], "imag": [[0]]}')
+        assert run_cli("verify", "--trials", 10, "--state", state_path) == 2
+        assert capsys.readouterr().err == "error: qudit dimension must be >= 2, got 1\n"
+
     @pytest.mark.parametrize("text", [
         '{"dim": 2}',
         '{"dim": 2, "real": "x", "imag": "x"}',

@@ -71,6 +71,12 @@ class TestStateValidation:
         with pytest.raises(DimensionMismatchError):
             BipartiteQuditState(3, np.eye(2) / np.sqrt(2.0))
 
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_rejects_dimension_below_2(self, dim):
+        # make_antisymmetric_mes refuses these first, so only a direct construction gets here
+        with pytest.raises(InvalidDimensionError, match=f"qudit dimension must be >= 2, got {dim}"):
+            BipartiteQuditState(dim, np.ones((dim, dim)))
+
     def test_amplitudes_read_only(self):
         s = make_antisymmetric_mes(2)
         with pytest.raises(ValueError):

@@ -164,6 +164,13 @@ class TestExperimentConfig:
         with pytest.raises(DimensionMismatchError):
             ExperimentConfig(dim=3, schedule=sched)
 
+    def test_caller_grid_stays_writeable(self):
+        grid = np.deg2rad(np.arange(0.0, 181.0, 5.0))
+        cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2), theta_grid=grid)
+        assert cfg.theta_grid is not grid and not cfg.theta_grid.flags.writeable
+        grid += 0.1
+        assert cfg.theta_grid[0] == 0.0
+
 
 class TestFringeScan:
     def test_validation(self):
@@ -176,6 +183,15 @@ class TestFringeScan:
             FringeScan(0.0, thetas, np.array([1, -2, 3]), "sampled")
         with pytest.raises(ConfigError):
             FringeScan(0.0, thetas, np.zeros(3), "other")
+
+    @pytest.mark.parametrize("mode, values", [("exact", [0.1, 0.2, 0.3]), ("sampled", [1, 2, 3])])
+    def test_caller_arrays_stay_writeable(self, mode, values):
+        thetas, given = np.array([0.0, 0.1, 0.2]), np.array(values)
+        scan = FringeScan(0.0, thetas, given, mode)
+        assert not (scan.thetas.flags.writeable or scan.values.flags.writeable)
+        thetas += 1.0
+        given *= 2
+        assert scan.thetas.tolist() == [0.0, 0.1, 0.2] and scan.values.tolist() == values
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="matching shapes"):

@@ -10,7 +10,7 @@ import pytest
 
 import sagnacsim
 import sagnacsim.sagnac
-from sagnacsim import jones, make_antisymmetric_mes, run_verification, verify
+from sagnacsim import PhaseSchedule, jones, make_antisymmetric_mes, run_verification, verify
 from sagnacsim.cli import main
 
 
@@ -135,6 +135,25 @@ def test_verify_does_not_import_numpy_ma():
             "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# The built-in schedules pass both su-schedules checks, so each failure needs a stand-in.
+def test_su_schedules_phase_sum_failure(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "check_su", lambda schedule, grid: False)
+    assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "[FAIL] su-schedules: d=2: phase sum nonzero")
+
+
+def test_su_schedules_endpoint_failure(monkeypatch, capsys):
+    # traceless, but xi(1) = (240, 240, -480) deg is in class 2, not congruent to 2*pi/3
+    winding_2 = PhaseSchedule(3, "custom", times=[0.0, 1.0],
+                              values=np.deg2rad([[0.0, 0.0, 0.0], [240.0, 240.0, -480.0]]))
+    real = verify.builtin_schedule
+    monkeypatch.setattr(verify, "builtin_schedule", lambda d: winding_2 if d == 3 else real(d))
+    assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "[FAIL] su-schedules: d=3: xi_1(1) not congruent to 2*pi/3 (err 2.094e+00)")
 
 
 NAN = float("nan")
