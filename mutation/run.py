@@ -58,6 +58,9 @@ MUTANTS = [
     # schedules
     ("schedule.py", "h = (t >= 0.5).astype(float)", "h = (t > 0.5).astype(float)", "equivalent",
      "every h-term carries a factor 2t - 1 or 1 - 2t, which is 0 at t = 0.5"),
+    ("schedule.py", "if dim < 2:", "if False:", "caught", "custom schedule of dimension below 2"),
+    ("schedule.py", "if times.size < 2:", "if False:", "caught",
+     "custom schedule with no breakpoint"),
     ("schedule.py", "if grid < 2:", "if False:", "caught", "check_su on a one-point grid"),
     ("schedule.py",
      "if times.ndim != 1 or values.ndim != 2 or values.shape != (times.size, self.dim):",
@@ -78,9 +81,8 @@ MUTANTS = [
      "if False:", "caught", "non-finite scan values"),
     ("sagnac.py", "if values.shape != thetas.shape:", "if False:", "caught",
      "thetas and values of different shapes"),
-    ("sagnac.py", 'raise ConfigError(f"unknown scan mode {mode!r}")',
-     'return FringeScan(t, cfg.theta_grid, p_eff, "exact")', "caught",
-     "unknown mode read as exact"),
+    ("sagnac.py", 'raise ConfigError(f"unknown scan mode {self.mode!r}")',
+     "values = values.astype(float)", "caught", "unknown mode read as exact"),
     ("sagnac.py", "return int(round(t * 1_000_000))", "return int(round(t * 1_000))", "caught",
      "RNG stream keyed by t at 1e-3"),
     ("sagnac.py", "{th:.10g},", "{th:.9g},", "caught", "thetas written with %.9g"),
@@ -91,6 +93,8 @@ MUTANTS = [
     # the fit and the shift
     ("analysis.py", "if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):",
      "if y_max - y_min <= 0.0:", "caught", "flat data only when exactly flat"),
+    ("analysis.py", 'return self.termination != "flat"', "return True", "caught",
+     "flat fit read as having a phase"),
     ("analysis.py", "if vis < 0.0:", "if False:", "caught", "negative visibility kept"),
     ("analysis.py", "if freq < 0.0:", "if freq < -1.0:", "caught",
      "negative frequency above -1 kept"),
@@ -112,6 +116,8 @@ MUTANTS = [
     ("analysis.py", "if schedule.dim != state.dim:", "if False:", "caught",
      "schedule and state of different dimensions"),
     # campaign, CLI and verify
+    ("campaign.py", 'if self.mode not in ("exact", "sampled"):', "if False:", "caught",
+     "campaign of an unknown mode"),
     ("campaign.py", "if not self.dims:", "if False:", "caught", "campaign with no dimension"),
     ("campaign.py", "if len(set(self.dims)) != len(self.dims):", "if False:", "caught",
      "repeated dimension"),
@@ -125,6 +131,8 @@ MUTANTS = [
      "caught", "fit sigma left in radians"),
     ("cli.py", 'if "dims" in fields or "t_values" in fields:', "if False:", "caught",
      "simulate config with dims or t_values"),
+    ("verify.py", "if not diff <= ORACLE_TOL:", "if diff > ORACLE_TOL:", "caught",
+     "NaN difference passes a cross-check"),
     ("verify.py", "precision=6, max_line_width=np.inf)", "precision=6)", "caught",
      "failure line wrapped at 75 characters"),
     ("verify.py", "if not check_su(sched, 1001):", "if False:", "caught",

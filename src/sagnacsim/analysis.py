@@ -49,9 +49,13 @@ class FitResult:
     covariance: np.ndarray = field(repr=False)
     rss: float
     n_points: int
-    b_defined: bool = True
     iterations: int = 0
     termination: str = "converged"
+
+    @property
+    def b_defined(self) -> bool:
+        """False only for a flat scan, whose fringe phase b is undefined."""
+        return self.termination != "flat"
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -149,7 +153,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):
         cov = np.zeros((4, 4))
         return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, cov, 0.0, n,
-                         b_defined=False, termination="flat")
+                         termination="flat")
 
     # jac holds [1, cos a theta, sin a theta, d model / d a] at the current point
     jac = np.ones((n, 4))
@@ -205,12 +209,12 @@ def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:
     Returns (shift, sigma) in radians with the shift in [0, 2*pi): the
     operated pattern C_ref(theta - shift/a) has fitted phase
     b_op = b_ref - shift, so the displacement is (b_ref - b_op) mod 2*pi.
-    Both fits must have a defined phase, visibility above 0.05 and a positive
+    Both fits must have visibility above 0.05 (a flat fit has 0) and a positive
     amplitude: with A <= 0 the reported (A, v, b) do not describe the fitted
     curve, since the visibility is clamped to [0, 1].
     """
     for name, fit in (("reference", fit_ref), ("operated", fit_op)):
-        if not fit.b_defined or fit.visibility <= MIN_VISIBILITY:
+        if fit.visibility <= MIN_VISIBILITY:
             raise LowVisibilityError(
                 f"{name} fit has visibility {fit.visibility:.3f} <= {MIN_VISIBILITY}"
             )

@@ -238,15 +238,13 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     mes = make_antisymmetric_mes(cfg.dim)
     p = coincidence_full(mes, xi, cfg.theta_grid)
     # rounding can overshoot the closed interval by ~1 ulp
-    p_eff = (0.5 + cfg.contrast * (p - 0.5)).clip(0.0, 1.0)
-    if mode == "exact":
-        return FringeScan(t, cfg.theta_grid, p_eff, "exact")
+    values = (0.5 + cfg.contrast * (p - 0.5)).clip(0.0, 1.0)
     if mode == "sampled":
         key = (cfg.dim, _stream_key(t))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=key))
-        counts = rng.poisson(cfg.counts_per_point * p_eff)
-        return FringeScan(t, cfg.theta_grid, counts, "sampled")
-    raise ConfigError(f"unknown scan mode {mode!r}")
+        values = rng.poisson(cfg.counts_per_point * values)
+    # FringeScan refuses any other mode
+    return FringeScan(t, cfg.theta_grid, values, mode)
 
 
 def scan_metadata(cfg: ExperimentConfig, scan: FringeScan) -> dict:

@@ -25,6 +25,7 @@ from .schedule import BUILTIN_DIMS, builtin_schedule, check_su
 ORACLE_TOL = 1e-12
 KINEMATIC_STEPS = 2000
 KINEMATIC_TOL = 1e-6
+SHIFTER_POINTS = 100
 # trials drawn and evaluated together, so memory does not grow with the trial count
 BLOCK = 256
 
@@ -43,22 +44,27 @@ def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
     return BipartiteQuditState(d, amps)
 
 
-def _per_dim(dims: list[int], evaluate) -> list[float]:
-    """``evaluate(d, rows)`` once per dimension in ``dims``; values in trial order.
+def _compare_blocks(name: str, trials: int, draw, diffs, describe) -> CheckResult:
+    """Compare two routes on ``trials`` random trials, drawn ``BLOCK`` at a time.
 
-    ``rows`` lists the positions of the trials of dimension ``d``, and
-    ``evaluate`` returns one value per row.  A set groups the trials, since
-    ``np.unique`` would import ``numpy.ma`` and grow the peak memory.
+    ``draw()`` makes one trial, a tuple whose first item is its dimension d.
+    ``diffs(d, batch)`` returns |route 1 - route 2| for a block's trials of
+    dimension d, in order; ``describe(*trial)`` names a failing trial.  A set
+    groups the trials, since ``np.unique`` would import ``numpy.ma`` and grow
+    the peak memory.  The first failure in trial order ends the check.
     """
-    values = np.empty(len(dims))
-    for d in set(dims):
-        rows = [i for i, dim in enumerate(dims) if dim == d]
-        values[rows] = evaluate(d, rows)
-    return values.tolist()
-
-
-def _stack(items: list, rows: list[int]) -> np.ndarray:
-    return np.array([items[i] for i in rows])
+    worst = 0.0
+    for start in range(0, trials, BLOCK):
+        block = [draw() for _ in range(min(BLOCK, trials - start))]
+        values = np.empty(len(block))
+        for d in {trial[0] for trial in block}:
+            rows = [i for i, trial in enumerate(block) if trial[0] == d]
+            values[rows] = diffs(d, [block[i] for i in rows])
+        for i, (trial, diff) in enumerate(zip(block, values.tolist()), start):
+            if not diff <= ORACLE_TOL:
+                return CheckResult(name, False, f"trial {i}: {describe(*trial)} |diff|={diff:.3e}")
+            worst = max(worst, diff)
+    return CheckResult(name, True, f"{trials} trials, max |diff| = {worst:.3e}")
 
 
 def check_oracle_equivalence(
@@ -66,66 +72,45 @@ def check_oracle_equivalence(
 ) -> CheckResult:
     """Closed-form coincidence vs full circuit propagation on random inputs.
 
-    Trials are drawn ``BLOCK`` at a time.  The closed form of a block takes
-    one stacked call per dimension; the oracle then runs trial by trial, and
-    the first failure ends the check.
+    The closed form takes one stacked call per dimension of a block; the
+    oracle then runs trial by trial.
     """
-    def closed(d: int, rows: list[int]) -> np.ndarray:
-        amplitudes = np.array([states[i].amplitudes for i in rows])
-        return _coincidence(amplitudes, _stack(xis, rows), _stack(thetas, rows))
+    def draw() -> tuple:
+        s = state if state is not None else random_state(rng, int(rng.integers(2, 7)))
+        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=s.dim)
+        return s.dim, s, xi, rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi)
 
-    worst = 0.0
-    for start in range(0, trials, BLOCK):
-        states, xis, thetas, phis = [], [], [], []
-        for _ in range(min(BLOCK, trials - start)):
-            d = state.dim if state is not None else int(rng.integers(2, 7))
-            states.append(state if state is not None else random_state(rng, d))
-            xis.append(rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d))
-            thetas.append(rng.uniform(0.0, np.pi))
-            phis.append(rng.uniform(0.0, np.pi))
-        values = _per_dim([s.dim for s in states], closed)
-        for i, (s, xi, theta, phi, c) in enumerate(zip(states, xis, thetas, phis, values), start):
-            diff = abs(c - circuit_oracle(s, xi, theta, phi))
-            if not diff <= ORACLE_TOL:
-                return CheckResult(
-                    "oracle-equivalence", False,
-                    f"trial {i}: d={s.dim} theta={theta:.6f} phi={phi:.6f} "
-                    f"xi={np.array2string(xi, precision=6, max_line_width=np.inf)} "
-                    f"|diff|={diff:.3e}",
-                )
-            worst = max(worst, diff)
-    return CheckResult(
-        "oracle-equivalence", True, f"{trials} trials, max |diff| = {worst:.3e}"
-    )
+    def diffs(d: int, batch: list[tuple]) -> np.ndarray:
+        _, states, xis, thetas, _ = zip(*batch)
+        closed = _coincidence(np.array([s.amplitudes for s in states]), np.array(xis),
+                              np.array(thetas))
+        return np.abs(closed - [circuit_oracle(s, xi, theta, phi)
+                                for _, s, xi, theta, phi in batch])
+
+    def describe(d, s, xi, theta, phi) -> str:
+        return (f"d={d} theta={theta:.6f} phi={phi:.6f} "
+                f"xi={np.array2string(xi, precision=6, max_line_width=np.inf)}")
+
+    return _compare_blocks("oracle-equivalence", trials, draw, diffs, describe)
 
 
 def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
     """General formula must reduce to the closed MES form on MES inputs.
 
-    Trials are drawn ``BLOCK`` at a time, and both forms of a block take one
-    stacked call per dimension.
+    Both forms take one stacked call per dimension of a block.
     """
-    mes = {d: make_antisymmetric_mes(d) for d in range(2, 7)}
+    def draw() -> tuple:
+        d = int(rng.integers(2, 7))
+        return d, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d), rng.uniform(0.0, np.pi)
 
-    def diffs(d: int, rows: list[int]) -> np.ndarray:
-        xi, theta = _stack(xis, rows), _stack(thetas, rows)
-        return np.abs(coincidence_full(mes[d], xi, theta) - coincidence_mes(d, xi, theta))
+    def diffs(d: int, batch: list[tuple]) -> np.ndarray:
+        _, xis, thetas = zip(*batch)
+        xi, theta = np.array(xis), np.array(thetas)
+        full = coincidence_full(make_antisymmetric_mes(d), xi, theta)
+        return np.abs(full - coincidence_mes(d, xi, theta))
 
-    worst = 0.0
-    for start in range(0, trials, BLOCK):
-        dims, xis, thetas = [], [], []
-        for _ in range(min(BLOCK, trials - start)):
-            dims.append(int(rng.integers(2, 7)))
-            xis.append(rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=dims[-1]))
-            thetas.append(rng.uniform(0.0, np.pi))
-        for i, (d, theta, diff) in enumerate(zip(dims, thetas, _per_dim(dims, diffs)), start):
-            if not diff <= ORACLE_TOL:
-                return CheckResult(
-                    "mes-reduction", False,
-                    f"trial {i}: d={d} theta={theta:.6f} |diff|={diff:.3e}",
-                )
-            worst = max(worst, diff)
-    return CheckResult("mes-reduction", True, f"{trials} trials, max |diff| = {worst:.3e}")
+    return _compare_blocks("mes-reduction", trials, draw, diffs,
+                           lambda d, xi, theta: f"d={d} theta={theta:.6f}")
 
 
 def check_su_schedules() -> CheckResult:
@@ -145,10 +130,10 @@ def check_su_schedules() -> CheckResult:
     return CheckResult("su-schedules", True, f"dims {BUILTIN_DIMS}: traceless, cyclic at t=1")
 
 
-def check_phase_shifter(rng: np.random.Generator, points: int = 100) -> CheckResult:
+def check_phase_shifter(rng: np.random.Generator) -> CheckResult:
     """Plate stack must imprint exactly 4*theta between V and H."""
     worst = 0.0
-    for i in range(points):
+    for i in range(SHIFTER_POINTS):
         phi = rng.uniform(0.0, np.pi)
         theta = rng.uniform(0.0, np.pi)
         err = abs(fold_angle(relative_phase(phase_shifter(phi, theta)) - 4.0 * theta))
@@ -158,7 +143,7 @@ def check_phase_shifter(rng: np.random.Generator, points: int = 100) -> CheckRes
                 f"point {i}: phi={phi:.6f} theta={theta:.6f} err={err:.3e}",
             )
         worst = max(worst, err)
-    return CheckResult("phase-shifter", True, f"{points} points, max err = {worst:.3e}")
+    return CheckResult("phase-shifter", True, f"{SHIFTER_POINTS} points, max err = {worst:.3e}")
 
 
 def check_kinematic_agreement() -> CheckResult:

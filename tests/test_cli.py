@@ -580,6 +580,12 @@ class TestCampaign:
         assert capsys.readouterr().err == "error: campaign needs at least one dimension\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        assert run_cli("campaign", self.write_spec(tmp_path, mode="bogus")) == 2
+        assert capsys.readouterr().err == (
+            "error: mode must be 'exact' or 'sampled', got 'bogus'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_schedule_file_with_two_dims_rejected(self, tmp_path, capsys):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({

@@ -148,6 +148,13 @@ class TestCustomSchedules:
             PhaseSchedule(2, "custom", times=[0.0, 0.5], values=np.zeros((2, 2)))
         with pytest.raises(ScheduleError):  # single breakpoint
             PhaseSchedule(2, "custom", times=[0.0], values=np.zeros((1, 2)))
+        with pytest.raises(ScheduleError, match="at least two"):  # no breakpoint
+            PhaseSchedule(2, "custom", times=[], values=np.zeros((0, 2)))
+        with pytest.raises(InvalidDimensionError):  # dimension below 2
+            PhaseSchedule(1, "custom", times=[0.0, 1.0], values=[[0.0], [0.0]])
+
+    def test_builtin_has_no_breakpoints(self):
+        assert builtin_schedule(2).breakpoints is None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScheduleError, match="unknown schedule kind"):
