@@ -39,9 +39,8 @@ MUTANTS = [
      "second eraser at +45 deg"),
     ("sagnac.py", "(1j * 1j)", "(1j)", "caught", "one factor i for two V reflections"),
     ("sagnac.py", "if xi.shape != (d,):", "if False:", "caught", "oracle phase length"),
-    ("jones.py", "_QWP_IN = qwp(-np.pi / 4.0) @", "_QWP_IN = qwp(-np.pi / 4.0 + 1e-9) @",
+    ("jones.py", "_QWP_IN = qwp(-np.pi / 4.0)", "_QWP_IN = qwp(-np.pi / 4.0 + 1e-9)",
      "caught", "fixed quarter wave plate off by 1e-9 rad"),
-    ("jones.py", "if not mats:", "if False:", "caught", "compose of no matrices"),
     ("jones.py", "if off > DIAG_OFFDIAG_TOL:", "if False:", "caught",
      "relative phase of a non-diagonal matrix"),
     # the closed forms and the state
@@ -61,7 +60,8 @@ MUTANTS = [
     ("schedule.py", "if dim < 2:", "if False:", "caught", "custom schedule of dimension below 2"),
     ("schedule.py", "if times.size < 2:", "if False:", "caught",
      "custom schedule with no breakpoint"),
-    ("schedule.py", "if grid < 2:", "if False:", "caught", "check_su on a one-point grid"),
+    ("schedule.py", "check_su(schedule) and", "True and", "caught",
+     "schedule file checked only at its breakpoint rows"),
     ("schedule.py",
      "if times.ndim != 1 or values.ndim != 2 or values.shape != (times.size, self.dim):",
      "if False:", "caught", "breakpoint rows of the wrong width"),
@@ -131,11 +131,13 @@ MUTANTS = [
      "caught", "fit sigma left in radians"),
     ("cli.py", 'if "dims" in fields or "t_values" in fields:', "if False:", "caught",
      "simulate config with dims or t_values"),
+    ("cli.py", '_natural(args.seed, "--seed")', "None", "caught",
+     "negative verify seed handed to the RNG"),
     ("verify.py", "if not diff <= ORACLE_TOL:", "if diff > ORACLE_TOL:", "caught",
      "NaN difference passes a cross-check"),
     ("verify.py", "precision=6, max_line_width=np.inf)", "precision=6)", "caught",
      "failure line wrapped at 75 characters"),
-    ("verify.py", "if not check_su(sched, 1001):", "if False:", "caught",
+    ("verify.py", "if not check_su(sched):", "if False:", "caught",
      "built-in schedule with a nonzero phase sum passes"),
     ("verify.py", "err = abs(fold_angle(xi_k - 2.0 * np.pi / d))", "err = 0.0", "caught",
      "built-in schedule ending outside class 1 passes"),

@@ -26,7 +26,7 @@ from .errors import (
     SagnacsimError,
     ScheduleError,
 )
-from .jones import compose, hwp, phase_shifter, qwp, relative_phase
+from .jones import hwp, phase_shifter, qwp, relative_phase
 from .qudit import BipartiteQuditState, make_antisymmetric_mes
 from .sagnac import (
     ExperimentConfig,
@@ -66,7 +66,6 @@ __all__ = [
     "circuit_oracle",
     "coincidence_full",
     "coincidence_mes",
-    "compose",
     "fit_fringe",
     "fold_angle",
     "generate_scan",

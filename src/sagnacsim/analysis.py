@@ -234,22 +234,6 @@ class KinematicPhases:
     geometric: float
     steps: int
 
-    def to_json_dict(self) -> dict:
-        deg = np.rad2deg
-        return {
-            "degrees": {
-                "total_deg": float(deg(self.total)),
-                "dynamical_deg": float(deg(self.dynamical)),
-                "geometric_deg": float(deg(self.geometric)),
-            },
-            "radians": {
-                "total": self.total,
-                "dynamical": self.dynamical,
-                "geometric": self.geometric,
-            },
-            "steps": self.steps,
-        }
-
 
 def kinematic_phase(
     state: BipartiteQuditState, schedule: PhaseSchedule, steps: int

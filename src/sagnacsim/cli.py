@@ -26,6 +26,7 @@ from .errors import (
     FitError,
     LowVisibilityError,
     SagnacsimError,
+    _natural,
     load_json_object,
 )
 from .qudit import BipartiteQuditState
@@ -161,6 +162,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _natural(args.seed, "--seed")
     state = None
     if args.state is not None:
         state = BipartiteQuditState.from_json_dict(load_json_object(args.state, "state"))

@@ -33,21 +33,9 @@ def qwp(angle: float) -> np.ndarray:
     return _rotation(angle) @ np.diag([1.0, 1.0j]) @ _rotation(-angle)
 
 
-def compose(matrices) -> np.ndarray:
-    """Compose a sequence of Jones matrices; the first entry acts first."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("compose() needs at least one matrix")
-    out = np.eye(2, dtype=complex)
-    for m in mats:
-        out = np.asarray(m, dtype=complex) @ out
-    return out
-
-
 # The crossed quarter wave plates of the phase shifter are fixed, so they are
-# built once.  ``_QWP_IN`` keeps the identity product that ``compose`` starts
-# from, so ``phase_shifter`` matches the composed stack bit for bit.
-_QWP_IN = qwp(-np.pi / 4.0) @ np.eye(2, dtype=complex)
+# built once.
+_QWP_IN = qwp(-np.pi / 4.0)
 _QWP_OUT = qwp(np.pi / 4.0)
 _QWP_IN.setflags(write=False)
 _QWP_OUT.setflags(write=False)

@@ -54,14 +54,6 @@ class BipartiteQuditState:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_json_dict(self) -> dict:
-        """Serialize as {dim, real, imag} with plain nested lists."""
-        return {
-            "dim": self.dim,
-            "real": self.amplitudes.real.tolist(),
-            "imag": self.amplitudes.imag.tolist(),
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartiteQuditState":
         """Read {dim, real, imag}; a missing or malformed field is a ConfigError."""

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 SU_TOL = 1e-12
+SU_GRID = 1001
 BUILTIN_DIMS = (2, 3, 4)
 
 
@@ -133,14 +134,12 @@ def builtin_schedule(d: int) -> PhaseSchedule:
     return PhaseSchedule(d, "builtin")
 
 
-def check_su(schedule: PhaseSchedule, grid: int) -> bool:
-    """True iff sum_k xi_k(t) = 0 within 1e-12 on a uniform t grid.
+def check_su(schedule: PhaseSchedule) -> bool:
+    """True iff sum_k xi_k(t) = 0 within 1e-12 on a uniform ``SU_GRID``-point t grid.
 
     The whole grid is evaluated in one schedule call; a NaN phase fails.
     """
-    if grid < 2:
-        raise ScheduleError(f"grid must have at least 2 points, got {grid}")
-    sums = np.sum(schedule(np.linspace(0.0, 1.0, grid)), axis=-1)
+    sums = np.sum(schedule(np.linspace(0.0, 1.0, SU_GRID)), axis=-1)
     return bool(np.all(np.abs(sums) <= SU_TOL))
 
 
@@ -148,8 +147,13 @@ def load_schedule(path) -> PhaseSchedule:
     """Load a custom schedule from JSON {dim, breakpoints: [[t, [deg...]]...]}.
 
     Phases are stored in degrees on disk and converted to radians here.  The
-    loader rejects unsorted times and any SU(d) or xi(0)=0 violation, on a
-    1001-point grid and at every breakpoint.
+    loader rejects unsorted times and any SU(d) or xi(0)=0 violation, on the
+    ``SU_GRID``-point grid and at every breakpoint.  Neither check implies the
+    other.  The grid can step over a breakpoint whose phases do not sum to 0.
+    Between two breakpoints the phase sum is a convex combination of theirs,
+    but only up to interpolation rounding, which grows with the phases: a row
+    sum that passes ``SU_TOL`` can come out beyond it on the grid when the
+    phases reach about 1e5 degrees.
     """
     data = load_json_object(path, "schedule file", ScheduleError)
     reals = _items(_real, "numbers")
@@ -162,7 +166,6 @@ def load_schedule(path) -> PhaseSchedule:
     # every check raises a SagnacsimError, a ValueError, as ragged phase rows do
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule file {path}: {exc}") from exc
-    # the grid can fall between two breakpoints, so the breakpoint rows are checked too
-    if not (check_su(schedule, 1001) and np.all(np.abs(np.sum(values, axis=1)) <= SU_TOL)):
+    if not (check_su(schedule) and np.all(np.abs(np.sum(values, axis=1)) <= SU_TOL)):
         raise ScheduleError(f"schedule in {path} violates the SU(d) phase-sum condition")
     return schedule

@@ -117,7 +117,7 @@ def check_su_schedules() -> CheckResult:
     """Built-in schedules stay traceless and end congruent to 2*pi/d."""
     for d in BUILTIN_DIMS:
         sched = builtin_schedule(d)
-        if not check_su(sched, 1001):
+        if not check_su(sched):
             return CheckResult("su-schedules", False, f"d={d}: phase sum nonzero")
         final = sched(1.0)
         for k, xi_k in enumerate(final):

@@ -1,5 +1,6 @@
 """Shared assertion helpers for the test suite, a reference state chain, a
-reference schedule evaluator, and an entanglement measure.
+reference schedule evaluator, a reference Jones stack, a state writer, and an
+entanglement measure.
 
 ``DiagonalPhaseOp``, ``apply_signal_phases`` and ``inner_product`` step a
 state through a schedule one ``BipartiteQuditState`` at a time; the
@@ -9,6 +10,9 @@ the columns with ``np.stack``; the schedule tests require the package's
 one-output evaluation to match it bit for bit.
 ``i_concurrence`` measures how entangled a state is; the tests use it to
 check that ``make_antisymmetric_mes`` gives maximally entangled states.
+``compose`` multiplies a stack of Jones matrices, the reference that
+``phase_shifter`` must match bit for bit; ``state_json`` writes a state in
+the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
 ``NEGATIVE_AMPLITUDE_THETAS`` and ``NEGATIVE_AMPLITUDE_COUNTS`` pin a count
 scan whose fit ends with a negative amplitude.
 """
@@ -86,6 +90,26 @@ def i_concurrence(state: BipartiteQuditState) -> float:
     rho = a @ a.conj().T  # reduced density matrix of the signal photon
     purity = float(np.sum(np.abs(rho) ** 2))
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+
+
+def compose(matrices) -> np.ndarray:
+    """Compose a sequence of Jones matrices; the first entry acts first."""
+    mats = list(matrices)
+    if not mats:
+        raise ValueError("compose() needs at least one matrix")
+    out = np.eye(2, dtype=complex)
+    for m in mats:
+        out = np.asarray(m, dtype=complex) @ out
+    return out
+
+
+def state_json(state: BipartiteQuditState) -> dict:
+    """{dim, real, imag} with plain nested lists, as a state file holds it."""
+    return {
+        "dim": state.dim,
+        "real": state.amplitudes.real.tolist(),
+        "imag": state.amplitudes.imag.tolist(),
+    }
 
 
 def stacked_phases(schedule, t) -> np.ndarray:

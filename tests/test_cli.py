@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sagnacsim
-from _helpers import NEGATIVE_AMPLITUDE_COUNTS, NEGATIVE_AMPLITUDE_THETAS
+from _helpers import NEGATIVE_AMPLITUDE_COUNTS, NEGATIVE_AMPLITUDE_THETAS, state_json
 from sagnacsim import CampaignSpec, make_antisymmetric_mes
 from sagnacsim.cli import main
 
@@ -211,7 +211,7 @@ SWEEP_INPUTS = {
     "spec": ({"dims": [2], "t_values": [0, 1], "mode": "exact", "out_dir": "out"},
              "input.json", ["campaign", "input.json"]),
     "config": ({"dim": 2, "t": 1}, "input.json", ["simulate", "--config", "input.json"]),
-    "state": (make_antisymmetric_mes(2).to_json_dict(), "input.json",
+    "state": (state_json(make_antisymmetric_mes(2)), "input.json",
               ["verify", "--trials", 2, "--state", "input.json"]),
     "schedule": ({"dim": 2, "breakpoints": [[0, [0, 0]], [0.5, [90, -90]], [1, [180, -180]]]},
                  "input.json",
@@ -677,11 +677,16 @@ class TestVerify:
         assert run_cli("verify", "--trials", 0) == 2
         assert "--trials" in capsys.readouterr().err
 
+    def test_negative_seed_usage_error(self, capsys):
+        assert run_cli("verify", "--trials", 3, "--seed", -1) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a nonnegative integer, got -1\n")
+
     def test_state_file(self, tmp_path, capsys):
         from sagnacsim import make_antisymmetric_mes
 
         state_path = tmp_path / "state.json"
-        state_path.write_text(json.dumps(make_antisymmetric_mes(3).to_json_dict()))
+        state_path.write_text(json.dumps(state_json(make_antisymmetric_mes(3))))
         assert run_cli("verify", "--trials", 10, "--state", state_path) == 0
 
     def test_state_of_dimension_1_exits_2(self, tmp_path, capsys):

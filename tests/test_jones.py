@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import assert_equal_up_to_global_phase, circular_diff
+from _helpers import assert_equal_up_to_global_phase, circular_diff, compose
 from sagnacsim import (
     NonDiagonalError,
-    compose,
     hwp,
     phase_shifter,
     qwp,

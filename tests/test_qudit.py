@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import DiagonalPhaseOp, apply_signal_phases, i_concurrence, inner_product
+from _helpers import (
+    DiagonalPhaseOp,
+    apply_signal_phases,
+    i_concurrence,
+    inner_product,
+    state_json,
+)
 from sagnacsim import (
     BipartiteQuditState,
     ConfigError,
@@ -88,7 +94,7 @@ class TestStateValidation:
         amps /= np.linalg.norm(amps)
         s = BipartiteQuditState(3, amps)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(s.to_json_dict()))
+        path.write_text(json.dumps(state_json(s)))
         loaded = BipartiteQuditState.from_json_dict(json.loads(path.read_text()))
         np.testing.assert_allclose(loaded.amplitudes, s.amplitudes, atol=1e-15)
         assert loaded.dim == 3
@@ -102,7 +108,7 @@ class TestStateValidation:
     def test_numpy_integer_dim_stored_as_int(self):
         s = BipartiteQuditState(np.int64(2), np.eye(2) / np.sqrt(2.0))
         assert type(s.dim) is int
-        assert json.loads(json.dumps(s.to_json_dict()))["dim"] == 2
+        assert json.loads(json.dumps(state_json(s)))["dim"] == 2
 
 
 class TestIConcurrence:

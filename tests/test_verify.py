@@ -139,7 +139,7 @@ def test_verify_does_not_import_numpy_ma():
 
 # The built-in schedules pass both su-schedules checks, so each failure needs a stand-in.
 def test_su_schedules_phase_sum_failure(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "check_su", lambda schedule, grid: False)
+    monkeypatch.setattr(verify, "check_su", lambda schedule: False)
     assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
     assert capsys.readouterr().out.splitlines()[2] == (
         "[FAIL] su-schedules: d=2: phase sum nonzero")
