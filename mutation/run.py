@@ -99,12 +99,22 @@ MUTANTS = [
     ("analysis.py", "if freq < 0.0:", "if freq < -1.0:", "caught",
      "negative frequency above -1 kept"),
     ("analysis.py", "MAX_HALVINGS = 8", "MAX_HALVINGS = 2", "caught", "two step halvings"),
-    ("analysis.py", "except np.linalg.LinAlgError:", "except ZeroDivisionError:", "caught",
+    ("analysis.py", "s0 = s1 = s2 = s3 = math.nan", "raise", "caught",
      "singular normal matrix"),
+    ("analysis.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
+     "caught", "singular covariance"),
+    ("analysis.py", """raise FitError("the scan's angles resolve no fringe at a = 4") from None""",
+     "raise", "caught", "singular start"),
+    ("analysis.py", "freq, phase, sign = -freq, -phase, -1.0", "freq, phase = -freq, -phase",
+     "caught", "covariance of a flipped frequency"),
+    ("analysis.py", "* (rss / (n - 4))", "* (rss / n)", "caught",
+     "covariance scaled by RSS / n"),
+    ("analysis.py", "return 0.0 if y == TWO_PI else y", "return y", "caught",
+     "phase of exactly 2 pi"),
     ("analysis.py", "fit.visibility <= MIN_VISIBILITY:", "fit.visibility < MIN_VISIBILITY:",
      "caught", "visibility exactly at the threshold accepted"),
-    ("analysis.py", "np.mod(fit_ref.phase - fit_op.phase, TWO_PI)",
-     "np.mod(fit_op.phase - fit_ref.phase, TWO_PI)", "caught", "shift of the wrong sign"),
+    ("analysis.py", "_wrap(fit_ref.phase - fit_op.phase)",
+     "_wrap(fit_op.phase - fit_ref.phase)", "caught", "shift of the wrong sign"),
     ("analysis.py", "if not fit.amplitude > 0.0:", "if False:", "caught",
      "fit with a negative amplitude accepted"),
     # the kinematic phase
@@ -137,6 +147,9 @@ MUTANTS = [
      "NaN difference passes a cross-check"),
     ("verify.py", "precision=6, max_line_width=np.inf)", "precision=6)", "caught",
      "failure line wrapped at 75 characters"),
+    ("verify.py", "abs(fold_angle(shift - kin.geometric))",
+     "abs(shift - np.mod(kin.geometric, 2.0 * np.pi))", "caught",
+     "shift and geometric phase compared off the circle"),
     ("verify.py", "if not check_su(sched):", "if False:", "caught",
      "built-in schedule with a nonzero phase sum passes"),
     ("verify.py", "err = abs(fold_angle(xi_k - 2.0 * np.pi / d))", "err = 0.0", "caught",

@@ -28,8 +28,8 @@ MAX_HALVINGS = 8
 NOMINAL_FREQUENCY = 4.0
 MIN_POINTS = 8
 MIN_SPAN = np.pi / 2.0  # one fringe period at the nominal frequency a = 4
-# fit algorithm of the reports, in fit JSON and summary.json; 2 = variable projection
-FIT_VERSION = 2
+# fit algorithm of fit JSON and summary.json; 3 = variable projection, phase in [0, 2*pi)
+FIT_VERSION = 3
 
 
 def fold_angle(x: float) -> float:
@@ -99,26 +99,10 @@ def _model(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return amp * (1.0 - vis * np.cos(freq * theta + phase))
 
 
-def _jacobian(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    amp, vis, freq, phase = p
-    c = np.cos(freq * theta + phase)
-    s = np.sin(freq * theta + phase)
-    return np.column_stack([
-        1.0 - vis * c,
-        -amp * c,
-        amp * vis * theta * s,
-        amp * vis * s,
-    ])
-
-
-def _canonicalize(p: np.ndarray) -> np.ndarray:
-    amp, vis, freq, phase = p
-    if vis < 0.0:
-        vis, phase = -vis, phase + np.pi
-    if freq < 0.0:
-        freq, phase = -freq, -phase
-    vis = min(max(vis, 0.0), 1.0)
-    return np.array([amp, vis, freq, np.mod(phase, TWO_PI)])
+def _wrap(x: float) -> float:
+    """x mod 2*pi in [0, 2*pi): a tiny negative x, which rounds to 2*pi, maps to 0."""
+    y = float(np.mod(x, TWO_PI))
+    return 0.0 if y == TWO_PI else y
 
 
 def fit_fringe(scan: FringeScan) -> FitResult:
@@ -127,17 +111,17 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     With the frequency a fixed the model is linear: c0 + c1 cos(a theta) +
     c2 sin(a theta), with (c0, c1, c2) = (A, -A v cos b, A v sin b) (Golub &
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
-    least-squares solve at a = 4, which leaves no wrong phase basin to fall
-    into.  Gauss-Newton in (c0, c1, c2, a) then refines all four, halving a
-    step that does not lower the residual sum of squares (RSS) at most
-    ``MAX_HALVINGS`` times.  The loop stops when the relative RSS change drops
-    below ``RSS_REL_TOL`` ("converged"), when the relative step reaches the
-    floating-point floor ("step"), when no halving lowers the RSS or the
-    normal matrix is singular ("stalled"), or after ``MAX_ITERATIONS``
-    ("max-iterations").  The covariance is the inverse Gauss-Newton normal
-    matrix of (A, v, a, b) at the optimum scaled by the residual variance;
-    flat data short-circuits to v = 0 with the phase flagged undefined
-    ("flat").
+    least-squares solve at a = 4, by its normal equations, which leaves no
+    wrong phase basin to fall into.  Gauss-Newton in (c0, c1, c2, a) then
+    refines all four, halving a step that does not lower the residual sum of
+    squares (RSS) at most ``MAX_HALVINGS`` times.  The loop stops when the
+    relative RSS change drops below ``RSS_REL_TOL`` ("converged"), when the
+    relative step reaches the floating-point floor ("step"), when no halving
+    lowers the RSS or the normal matrix is singular ("stalled"), or after
+    ``MAX_ITERATIONS`` ("max-iterations").  The covariance, the inverse normal
+    matrix of (A, v, a, b) times RSS / (n - 4), is the loop's by the chain
+    rule; a singular one (v = 0 or A = 0) raises ``FitError``.  Flat data
+    short-circuits to v = 0 with the phase flagged undefined ("flat").
     """
     theta = scan.thetas
     y = scan.values.astype(float)
@@ -151,56 +135,72 @@ def fit_fringe(scan: FringeScan) -> FitResult:
 
     y_max, y_min = float(y.max()), float(y.min())
     if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):
-        cov = np.zeros((4, 4))
-        return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, cov, 0.0, n,
-                         termination="flat")
+        return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, np.zeros((4, 4)), 0.0,
+                         n, termination="flat")
 
-    # jac holds [1, cos a theta, sin a theta, d model / d a] at the current point
-    jac = np.ones((n, 4))
-    jac[:, 1], jac[:, 2] = np.cos(NOMINAL_FREQUENCY * theta), np.sin(NOMINAL_FREQUENCY * theta)
-    basis = jac[:, :3]
-    p = np.append(np.linalg.lstsq(basis, y, rcond=None)[0], NOMINAL_FREQUENCY)
-    r = y - basis @ p[:3]
-    rss = float(r @ r)
-    termination = "max-iterations"
+    # rows hold 1, cos a theta, sin a theta, d model / d a and the residual at
+    # (c0, c1, c2, a), so rows[:4] @ rows.T is [J^T J | J^T r]; row 3 is 0 at the start
+    angle = NOMINAL_FREQUENCY * theta
+    rows = np.stack([np.ones(n), np.cos(angle), np.sin(angle), np.zeros(n), y])
+    normal = rows[:3] @ rows.T
+    try:  # singular when, say, every theta is a multiple of pi / 2
+        c0, c1, c2 = np.linalg.solve(normal[:, :3], normal[:, 4]).tolist()
+    except np.linalg.LinAlgError:
+        raise FitError("the scan's angles resolve no fringe at a = 4") from None
+    rows[4] -= c0 + c1 * rows[1] + c2 * rows[2]
+    rss = float(rows[4] @ rows[4])
+    rows[3] = theta * (c2 * rows[1] - c1 * rows[2])
+    normal = rows[:4] @ rows.T
+    freq, termination = NOMINAL_FREQUENCY, "max-iterations"
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac[:, 3] = theta * (p[2] * jac[:, 1] - p[1] * jac[:, 2])
         try:
-            step = np.linalg.solve(jac.T @ jac, jac.T @ r)
-            step_sq = float(step @ step)
+            s0, s1, s2, s3 = np.linalg.solve(normal[:, :4], normal[:, 4]).tolist()
         except np.linalg.LinAlgError:
-            step_sq = math.nan
+            s0 = s1 = s2 = s3 = math.nan
+        step_sq = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3
         if not math.isfinite(step_sq):  # a singular or non-finite normal matrix
             termination = "stalled"
             break
-        if step_sq <= STEP_REL_TOL**2 * float(p @ p):
+        if step_sq <= STEP_REL_TOL**2 * (c0 * c0 + c1 * c1 + c2 * c2 + freq * freq):
             termination = "step"
             break
+        h = 1.0  # the step's scale: halving a power of two rounds nothing
         for _ in range(MAX_HALVINGS):
-            p_try = p + step
-            cos_try, sin_try = np.cos(p_try[3] * theta), np.sin(p_try[3] * theta)
-            r_try = y - (p_try[0] + p_try[1] * cos_try + p_try[2] * sin_try)
-            rss_try = float(r_try @ r_try)
+            t0, t1, t2, t3 = c0 + h * s0, c1 + h * s1, c2 + h * s2, freq + h * s3
+            np.cos(np.multiply(t3, theta, out=rows[4]), out=rows[1])
+            np.sin(rows[4], out=rows[2])
+            np.subtract(y, t0 + t1 * rows[1] + t2 * rows[2], out=rows[4])
+            rss_try = float(rows[4] @ rows[4])
             if rss_try < rss:
                 break
-            step *= 0.5
-        else:
+            h *= 0.5
+        else:  # the rows hold the last trial, but normal is still the optimum's
             termination = "stalled"
             break
-        p, r, rss_prev, rss = p_try, r_try, rss, rss_try
-        jac[:, 1], jac[:, 2] = cos_try, sin_try
+        c0, c1, c2, freq, rss_prev, rss = t0, t1, t2, t3, rss, rss_try
+        rows[3] = theta * (c2 * rows[1] - c1 * rows[2])
+        normal = rows[:4] @ rows.T
         if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
             termination = "converged"
             break
 
-    c0, c1, c2, freq = p
-    p = _canonicalize(np.array([c0, np.hypot(c1, c2) / c0, freq, np.arctan2(c2, -c1)]))
-    jac = _jacobian(theta, p)
-    dof = max(n - 4, 1)
-    resid_var = float(np.sum((y - _model(theta, p)) ** 2)) / dof
-    cov = np.linalg.pinv(jac.T @ jac) * resid_var
-    return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n,
-                     iterations=iterations, termination=termination)
+    amp, phase, sign = c0, math.atan2(c2, -c1), 1.0
+    vis = math.hypot(c1, c2) / c0 if c0 else math.inf  # A = 0 leaves the matrix singular
+    if vis < 0.0:
+        vis, phase = -vis, phase + np.pi
+    if freq < 0.0:  # the flip a -> -a also flips the sign of c2
+        freq, phase, sign = -freq, -phase, -1.0
+    vis, phase = min(max(vis, 0.0), 1.0), _wrap(phase)
+    cb, sb = math.cos(phase), math.sin(phase)
+    chain = np.array([[1.0, 0.0, 0.0, 0.0],  # d(c0, c1, c2, a) / d(A, v, a, b)
+                      [-vis * cb, -amp * cb, 0.0, amp * vis * sb],
+                      [sign * vis * sb, sign * amp * sb, 0.0, sign * amp * vis * cb],
+                      [0.0, 0.0, sign, 0.0]])
+    try:
+        cov = np.linalg.inv(chain.T @ normal[:, :4] @ chain) * (rss / (n - 4))
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"singular covariance at v = {vis:.3g}, A = {amp:.3g}") from exc
+    return FitResult(amp, vis, freq, phase, cov, rss, n, iterations, termination)
 
 
 def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:
@@ -220,7 +220,7 @@ def phase_shift(fit_ref: FitResult, fit_op: FitResult) -> tuple[float, float]:
             )
         if not fit.amplitude > 0.0:
             raise LowVisibilityError(f"{name} fit has amplitude {fit.amplitude:.3g} <= 0")
-    shift = float(np.mod(fit_ref.phase - fit_op.phase, TWO_PI))
+    shift = _wrap(fit_ref.phase - fit_op.phase)
     sigma = float(np.hypot(fit_ref.phase_sigma, fit_op.phase_sigma))
     return shift, sigma
 

@@ -155,7 +155,7 @@ def check_kinematic_agreement() -> CheckResult:
         shift, _ = phase_shift(fit_ref, fit_op)
         kin = kinematic_phase(make_antisymmetric_mes(d), cfg.schedule, KINEMATIC_STEPS)
         geo = float(np.mod(kin.geometric, 2.0 * np.pi))
-        if not abs(shift - geo) <= KINEMATIC_TOL:
+        if not abs(fold_angle(shift - kin.geometric)) <= KINEMATIC_TOL:  # on the circle
             return CheckResult(
                 "kinematic-agreement", False,
                 f"d={d}: shift={shift:.9f} geometric={geo:.9f}",

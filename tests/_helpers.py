@@ -14,14 +14,27 @@ check that ``make_antisymmetric_mes`` gives maximally entangled states.
 ``phase_shifter`` must match bit for bit; ``state_json`` writes a state in
 the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
 ``NEGATIVE_AMPLITUDE_THETAS`` and ``NEGATIVE_AMPLITUDE_COUNTS`` pin a count
-scan whose fit ends with a negative amplitude.
+scan whose fit ends with a negative amplitude.  ``reference_fit_v2`` is the
+fringe fit of fit_version 2 (``lstsq`` start, ``pinv`` covariance), which the
+current fit must agree with scan by scan.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from sagnacsim import BipartiteQuditState, DimensionMismatchError
+from sagnacsim import BipartiteQuditState, DimensionMismatchError, FitError, FitResult, FringeScan
+from sagnacsim.analysis import (
+    MAX_HALVINGS,
+    MAX_ITERATIONS,
+    MIN_POINTS,
+    MIN_SPAN,
+    NOMINAL_FREQUENCY,
+    RSS_REL_TOL,
+    STEP_REL_TOL,
+    TWO_PI,
+)
 
 # Bernoulli counts on a short irregular grid, in radians, found by a seeded
 # search: the fit ends with c0 = -0.198, so a raw visibility of -4.42
@@ -138,3 +151,114 @@ def stacked_phases(schedule, t) -> np.ndarray:
                 -3.0 * np.pi / 2.0 * t,
             ]
     return np.stack(columns, axis=-1)
+
+
+def _model(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    amp, vis, freq, phase = p
+    return amp * (1.0 - vis * np.cos(freq * theta + phase))
+
+
+def _jacobian(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    amp, vis, freq, phase = p
+    c = np.cos(freq * theta + phase)
+    s = np.sin(freq * theta + phase)
+    return np.column_stack([
+        1.0 - vis * c,
+        -amp * c,
+        amp * vis * theta * s,
+        amp * vis * s,
+    ])
+
+
+def _canonicalize(p: np.ndarray) -> np.ndarray:
+    amp, vis, freq, phase = p
+    if vis < 0.0:
+        vis, phase = -vis, phase + np.pi
+    if freq < 0.0:
+        freq, phase = -freq, -phase
+    vis = min(max(vis, 0.0), 1.0)
+    return np.array([amp, vis, freq, np.mod(phase, TWO_PI)])
+
+
+def reference_fit_v2(scan: FringeScan) -> FitResult:
+    """``fit_fringe`` as of fit_version 2, kept verbatim as the reference.
+
+    Variable-projection Gauss-Newton fit of the four-parameter fringe model.
+
+    With the frequency a fixed the model is linear: c0 + c1 cos(a theta) +
+    c2 sin(a theta), with (c0, c1, c2) = (A, -A v cos b, A v sin b) (Golub &
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
+    least-squares solve at a = 4, which leaves no wrong phase basin to fall
+    into.  Gauss-Newton in (c0, c1, c2, a) then refines all four, halving a
+    step that does not lower the residual sum of squares (RSS) at most
+    ``MAX_HALVINGS`` times.  The loop stops when the relative RSS change drops
+    below ``RSS_REL_TOL`` ("converged"), when the relative step reaches the
+    floating-point floor ("step"), when no halving lowers the RSS or the
+    normal matrix is singular ("stalled"), or after ``MAX_ITERATIONS``
+    ("max-iterations").  The covariance is the inverse Gauss-Newton normal
+    matrix of (A, v, a, b) at the optimum scaled by the residual variance;
+    flat data short-circuits to v = 0 with the phase flagged undefined
+    ("flat").
+    """
+    theta = scan.thetas
+    y = scan.values.astype(float)
+    n = y.size
+    if n < MIN_POINTS:
+        raise FitError(f"need at least {MIN_POINTS} points, got {n}")
+    if float(theta[-1] - theta[0]) < MIN_SPAN:
+        raise FitError(
+            f"scan spans {theta[-1] - theta[0]:.3f} rad, need >= {MIN_SPAN:.3f} (one period)"
+        )
+
+    y_max, y_min = float(y.max()), float(y.min())
+    if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):
+        cov = np.zeros((4, 4))
+        return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, cov, 0.0, n,
+                         termination="flat")
+
+    # jac holds [1, cos a theta, sin a theta, d model / d a] at the current point
+    jac = np.ones((n, 4))
+    jac[:, 1], jac[:, 2] = np.cos(NOMINAL_FREQUENCY * theta), np.sin(NOMINAL_FREQUENCY * theta)
+    basis = jac[:, :3]
+    p = np.append(np.linalg.lstsq(basis, y, rcond=None)[0], NOMINAL_FREQUENCY)
+    r = y - basis @ p[:3]
+    rss = float(r @ r)
+    termination = "max-iterations"
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        jac[:, 3] = theta * (p[2] * jac[:, 1] - p[1] * jac[:, 2])
+        try:
+            step = np.linalg.solve(jac.T @ jac, jac.T @ r)
+            step_sq = float(step @ step)
+        except np.linalg.LinAlgError:
+            step_sq = math.nan
+        if not math.isfinite(step_sq):  # a singular or non-finite normal matrix
+            termination = "stalled"
+            break
+        if step_sq <= STEP_REL_TOL**2 * float(p @ p):
+            termination = "step"
+            break
+        for _ in range(MAX_HALVINGS):
+            p_try = p + step
+            cos_try, sin_try = np.cos(p_try[3] * theta), np.sin(p_try[3] * theta)
+            r_try = y - (p_try[0] + p_try[1] * cos_try + p_try[2] * sin_try)
+            rss_try = float(r_try @ r_try)
+            if rss_try < rss:
+                break
+            step *= 0.5
+        else:
+            termination = "stalled"
+            break
+        p, r, rss_prev, rss = p_try, r_try, rss, rss_try
+        jac[:, 1], jac[:, 2] = cos_try, sin_try
+        if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
+            termination = "converged"
+            break
+
+    c0, c1, c2, freq = p
+    p = _canonicalize(np.array([c0, np.hypot(c1, c2) / c0, freq, np.arctan2(c2, -c1)]))
+    jac = _jacobian(theta, p)
+    dof = max(n - 4, 1)
+    resid_var = float(np.sum((y - _model(theta, p)) ** 2)) / dof
+    cov = np.linalg.pinv(jac.T @ jac) * resid_var
+    return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n,
+                     iterations=iterations, termination=termination)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from _helpers import (
     apply_signal_phases,
     circular_diff,
     inner_product,
+    reference_fit_v2,
 )
 from sagnacsim import (
     BipartiteQuditState,
@@ -100,7 +102,7 @@ class TestFitFringe:
         assert report["radians"]["phase"] == pytest.approx(fit.phase)
         assert len(report["radians"]["covariance"]) == 4
         assert report["b_defined"]
-        assert report["fit_version"] == FIT_VERSION == 2
+        assert report["fit_version"] == FIT_VERSION == 3
         assert report["iterations"] == fit.iterations >= 1
         assert report["termination"] == fit.termination
 
@@ -120,6 +122,15 @@ class TestFitFringe:
         assert fit.frequency == pytest.approx(frequency, abs=1e-9)
         assert fit.phase == pytest.approx(phase, abs=1e-9)
 
+    def test_flipped_frequency_covariance(self):
+        # the chain rule from (c0, c1, c2, a) to (A, v, a, b) flips c2 and a with the
+        # frequency; the Jacobian of fit_version 2 at the canonical point agrees
+        thetas = np.array([0.0, 0.09, 0.38, 0.62, 0.64, 0.78, 1.04, 1.2, 1.22, 1.83])
+        counts = np.array([0, 0, 1, 0, 0, 0, 1, 1, 0, 1])
+        scan = FringeScan(0.0, thetas, counts, "sampled")
+        new, old = fit_fringe(scan), reference_fit_v2(scan)
+        assert np.abs(new.covariance - old.covariance).max() <= 1e-9 * np.abs(old.covariance).max()
+
     def test_flat_poisson_scan_needs_many_halvings(self):
         # with only two halvings per step this fit stalls after its first step
         counts = np.random.default_rng(31).poisson(500, DEFAULT_THETA_GRID.size)
@@ -127,12 +138,62 @@ class TestFitFringe:
         assert (fit.termination, fit.iterations) == ("converged", 14)
 
     def test_singular_normal_matrix_stalls(self, monkeypatch):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        real = np.linalg.solve
+
+        def singular(a, b):  # the 3x3 start solves; the 4x4 Gauss-Newton step does not
+            if len(a) == 4:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular)
         fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
         assert (fit.termination, fit.iterations) == ("stalled", 1)
+
+    def test_singular_covariance_raises(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(FitError, match="singular covariance at v = 0.5, A = 0.4"):
+            fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+
+    def test_angles_on_one_fringe_point_rejected(self):
+        # 4 theta is a multiple of 2 pi at every point: no fringe can be fitted
+        thetas = np.deg2rad(np.arange(0.0, 720.0, 90.0))
+        counts = np.array([3, 5, 3, 5, 3, 5, 3, 5])
+        with pytest.raises(FitError, match="resolve no fringe"):
+            fit_fringe(FringeScan(0.0, thetas, counts, "sampled"))
+
+    @pytest.mark.parametrize("step_deg", [5.0, 1.0], ids=["37-point", "181-point"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_reference_phase_below_two_pi(self, d, step_deg):
+        # at t = 0 the fitted phase is 0 up to rounding, which may be a tiny negative
+        # number; it must fold to 0, not to 2 pi
+        grid = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, step_deg))
+        cfg = ExperimentConfig(dim=d, schedule=builtin_schedule(d), theta_grid=grid)
+        fit = fit_fringe(generate_scan(cfg, 0.0, mode="exact"))
+        assert 0.0 <= fit.phase < 2.0 * np.pi
+
+    def test_agrees_with_reference_fit(self):
+        # the one-buffer fit runs the steps of fit_version 2: same stop, same numbers
+        grid = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 1.0))
+        scans = [generate_scan(ExperimentConfig(dim=d, schedule=builtin_schedule(d),
+                                                theta_grid=grid), t, mode="exact")
+                 for d in (2, 3, 4) for t in np.linspace(0.0, 1.0, 9)]
+        for d, counts, t in itertools.product((2, 3, 4), (100, 1000), (0.0, 0.25, 1.0)):
+            for seed in range(50):
+                cfg = ExperimentConfig(dim=d, schedule=builtin_schedule(d), rng_seed=seed,
+                                       counts_per_point=counts)
+                scans.append(generate_scan(cfg, t))
+        for scan in scans:
+            new, old = fit_fringe(scan), reference_fit_v2(scan)
+            label = (scan.mode, scan.t, scan.values[:3])
+            assert (new.iterations, new.termination) == (old.iterations, old.termination), label
+            assert circular_diff(new.phase, old.phase) <= 1e-8, label
+            assert abs(new.visibility - old.visibility) <= 1e-9, label
+            # exact scans end at an RSS of ~1e-30, where the covariance is rounding noise
+            scale = max(np.abs(old.covariance).max(), 1e-20)
+            assert np.abs(new.covariance - old.covariance).max() <= 1e-9 * scale, label
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_exact_builtin_scans_stop_at_the_floor(self, d):
@@ -243,6 +304,12 @@ class TestPhaseShift:
             phase_shift(good, bad)
         with pytest.raises(LowVisibilityError, match="reference fit has amplitude"):
             phase_shift(bad, good)
+
+    def test_shift_of_tiny_negative_difference_is_zero(self):
+        fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+        ref, op = dataclasses.replace(fit, phase=0.0), dataclasses.replace(fit, phase=1e-17)
+        shift, _ = phase_shift(ref, op)
+        assert shift == 0.0
 
     def test_invariant_under_count_scaling(self):
         cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=9)

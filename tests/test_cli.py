@@ -347,9 +347,20 @@ class TestFit:
         assert run_cli("fit", op) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"fit"}
-        assert report["fit"]["fit_version"] == 2
+        assert report["fit"]["fit_version"] == 3
         assert report["fit"]["termination"] in ("step", "converged")
         assert "ref_fit" in json.loads((tmp_path / "with_ref.json").read_text())
+
+    def test_singular_covariance_exits_1(self, tmp_path, capsys, monkeypatch):
+        scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
+        capsys.readouterr()
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert run_cli("fit", scan) == 1
+        assert capsys.readouterr().err.startswith("error: singular covariance at v = 0.35")
 
     def test_report_to_file(self, tmp_path):
         scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
@@ -389,8 +400,8 @@ class TestCampaign:
                 assert (out_dir / f"scan_d{d}_t{t}.csv").exists()
                 assert (out_dir / f"scan_d{d}_t{t}.json").exists()
                 assert (out_dir / f"fit_d{d}_t{t}.json").exists()
-        assert summary["fit_version"] == 2
-        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 2
+        assert summary["fit_version"] == 3
+        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 3
         # SVG must be well-formed XML with drawable content
         svg = ET.parse(out_dir / "campaign.svg").getroot()
         assert svg.tag.endswith("svg")
@@ -410,12 +421,12 @@ class TestCampaign:
     FROZEN_SHA256 = {
         "exact": {
             "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
-            "fit_d2_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
-            "fit_d2_t0.json": "39789933e52e9d32717d53d4b7f47d1e28ef9450d2fd52bad802b960b43c1536",
-            "fit_d2_t1.json": "092400384591912a40037a03064b053e6aa2974beed5d6a26df9586661e1c928",
-            "fit_d3_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
-            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
-            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
+            "fit_d2_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
+            "fit_d2_t0.json": "ede8fab9f7ed05f3315332ba259d9be3ba72dafd62c4a17c66811eafe5457d87",
+            "fit_d2_t1.json": "6e4b460b5982594c34a815b5f4ede2fa78cc3d089a85eedb21bf942cca0fdbd6",
+            "fit_d3_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
+            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
+            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -428,32 +439,32 @@ class TestCampaign:
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "af49978d1c86a36d73bc1499e0c9e565c91ab3054f6cc3c29bd19104dc4a4cf2",
+            "summary.json": "6bd8af4299fdb1fd6bdb8d0ef6d4fb934421be54e2fda518bf45fd6945e22c42",
         },
         "sampled": {
             "campaign.svg": "62399dbdb6bb49d0402535cc58534f09cf1e6fb0bd196ece06cc8b8b81517607",
-            "fit_d3_t0.25.json": "3bdafdad275b50637dc296586bcffc39688a54984d34a93aa32d38b0980b82d8",
-            "fit_d3_t0.json": "634b0f61ac23f443541a5ea24307fd9f9f03558d0aa302d7ad8b671df9e49c62",
-            "fit_d3_t1.json": "c17628044adbecd603f9a77f6f131cff2b55ee24d8485ce738c1443b0ea764eb",
+            "fit_d3_t0.25.json": "727b75af7a928d08041014ad9d50387b62b3ddc383021bd1d0d1c61d7f12a949",
+            "fit_d3_t0.json": "c4d03bd1f53a82a7b1b0ff0c4e4fadbd3cb29865e03b11477fc6a045b300130e",
+            "fit_d3_t1.json": "947ff62baa5b0cd9ba112ebd46119825748f6797d8755a2d1d595e3d1a056e04",
             "scan_d3_t0.25.csv": "3392e90a6ef98708f06a08567a00225d7b1a7cb428dfaaa92c6307a02c02016a",
             "scan_d3_t0.25.json": "de134fb61974195c3456d8e52444a160e258513a59d268b082144382d3eed77e",
             "scan_d3_t0.csv": "a5532a3e2260c7c85c31d2ad3b2e6190954935d8801e81c6e8ec2c219498df6e",
             "scan_d3_t0.json": "918d5a9d0bc302a592bc801244a193ebddfc8dee458958f5cc5652f4f993c7d9",
             "scan_d3_t1.csv": "a6b7ab39d91265150a90ee2367b9178f7d76bbbe5ce6e77677164680792e3e38",
             "scan_d3_t1.json": "b65ab36fb694d0a55566fa8634bc270d4db62e5423d7eee887f5e09fa6b2ee2a",
-            "summary.json": "cdce7577036f77afcbb30c695cbefe5fb3776d915c2688c7305e469443ab9b7b",
+            "summary.json": "1ff03b7f97c4e1bdbe60b44a17378c2fb16502c9d1b47ea20f0b0c7333bc077b",
         },
         "exact-d234": {
             "campaign.svg": "c97e6ddd144f016ea205bb9b308042ee395b96b60684cab11a48e124456f72b4",
-            "fit_d2_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
-            "fit_d2_t0.json": "39789933e52e9d32717d53d4b7f47d1e28ef9450d2fd52bad802b960b43c1536",
-            "fit_d2_t1.json": "092400384591912a40037a03064b053e6aa2974beed5d6a26df9586661e1c928",
-            "fit_d3_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
-            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
-            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
-            "fit_d4_t0.5.json": "10c34aefec4ee611034aae098a3e18608fcf2e6f67387bd294c7bf759b6fe8fe",
-            "fit_d4_t0.json": "ec6b437fc9c6147d55f2fb9664f80cb0474c9e0dc88ab34a27a522730bbb20b9",
-            "fit_d4_t1.json": "90ceec1d95ab63e0eb399255d4a4ccd271198cd84a06f171d5eb2e4b5a89ecaa",
+            "fit_d2_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
+            "fit_d2_t0.json": "ede8fab9f7ed05f3315332ba259d9be3ba72dafd62c4a17c66811eafe5457d87",
+            "fit_d2_t1.json": "6e4b460b5982594c34a815b5f4ede2fa78cc3d089a85eedb21bf942cca0fdbd6",
+            "fit_d3_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
+            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
+            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
+            "fit_d4_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
+            "fit_d4_t0.json": "5c23c864df2089f6a68ffb410ad50f7ed3214505253635af63fcfcdc24801e75",
+            "fit_d4_t1.json": "d0a69b4560ccbf9053e4c1b6d6f6d1994166a01df1bcbf76c02bc9aba0d1876e",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -472,25 +483,25 @@ class TestCampaign:
             "scan_d4_t0.json": "852930196bfc1b955af82885982edd0b0713d5dae27f72b4696824e386155d62",
             "scan_d4_t1.csv": "4a673ae8d7c688171ee837886888cb6439d8a3639846567d18488ad729c238a8",
             "scan_d4_t1.json": "9f0d7cf49b8583ae934fb48e60f4bff58fcb222ade9eed7e344254527176e97f",
-            "summary.json": "2d606bf9b9de12e3d7173d0c671311232437531eea2bdc3b322b4f6310570387",
+            "summary.json": "5639e8f1bca5e13ff06780156297f05a1f55ea83d8665aa26503e5fff5e6cbfc",
         },
         "fit-ref": {
-            "fit_ref_d2.json": "c629694a67dc9f121aa5aa30227d2467146b8005ddeae849d7a2d445949e8b8e",
-            "fit_ref_d3.json": "6f64f808392854f242e55c07fb190b4878f9c0a769b77d3f94ad741e58d56145",
-            "fit_ref_d4.json": "2dc32362c414d5e7dc57c6c8e9728d59e9590bd62d9af4cabf4b337f8334b229",
+            "fit_ref_d2.json": "2921127186c38aed96d973f637599fe52b2c04249cdf8726b09e36d680c1da79",
+            "fit_ref_d3.json": "81be3614d7020b45fad6976133fb59d92a83839e426e99e2de33796e16df403b",
+            "fit_ref_d4.json": "fdbf0ce92a52c97f4f3b3ce9bfeb7d2225ea7baee90fe0b092f003f19554ce6f",
         },
         "schedule-file": {
             "campaign.svg": "13f9b7fbe5a5f1db29b66cf333b3b1f4849a8c3c658bdb77e69d838f70cf2bb9",
-            "fit_d3_t0.5.json": "7f9ca086145b086617a212c5bf2a9a7521fff5fa4a230daee6360ceb94ef07cf",
-            "fit_d3_t0.json": "231ce1ed30c03c47e34ebed51c11a4520e6849e246e72e25f5c3e3c5bc32b1de",
-            "fit_d3_t1.json": "850df75e7e4bd29b0ef4d4f77149a11ed316890764d46d9b4783d9f1a5325517",
+            "fit_d3_t0.5.json": "f799dfb46e08f2869e9897fab7220c0f0980a0aff2d52ba892b844096afe17da",
+            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
+            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
             "scan_d3_t0.5.csv": "76d61f1038f4aa8d0f15b77d8ad6551f76c7014a4386ecbba098b81b6dc785dd",
             "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
             "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "03fa21af655c2abb6dda6d9b82debaaf79862524d338bc51ee75f9e5741c3749",
+            "summary.json": "b0b259f7810f3fd52017110dc4b5ae44d6e789687beeab431fcae3c77214c959",
         },
     }
 

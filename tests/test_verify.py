@@ -188,3 +188,13 @@ def test_nan_kinematic_phase_fails_agreement(monkeypatch, capsys, phase):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "[FAIL] kinematic-agreement: d=2: "
         + ("shift=3.141592654 geometric=nan" if phase == "geometric" else "dynamical=nan"))
+
+
+def test_kinematic_agreement_compares_on_the_circle(monkeypatch):
+    # a shift of 1e-10 and a geometric phase of -1e-10 differ by 2e-10, not by 2 pi - 2e-10
+    real = verify.kinematic_phase
+    monkeypatch.setattr(verify, "phase_shift", lambda ref, op: (1e-10, 0.0))
+    monkeypatch.setattr(verify, "kinematic_phase", lambda *args: dataclasses.replace(
+        real(*args), geometric=-1e-10))
+    result = verify.check_kinematic_agreement()
+    assert result.passed, result.detail
