@@ -505,6 +505,45 @@ class TestCampaign:
         },
     }
 
+    # sha256 of the numbers along the sampled path, from test_sampled_path_numbers_frozen
+    FROZEN_SAMPLED_PATH_SHA256 = "55b3c3ad2ca7085616171801d7f2cecbd090f5efe536d4672804bf16c1fd6170"
+
+    def test_sampled_path_numbers_frozen(self):
+        """The bytes of the scan -> fit -> shift path, in memory, over seeded scans.
+
+        It hashes the scan values, every FitResult field (the covariance, the
+        iteration count and the termination included) and each phase_shift
+        pair, for d = 2, 3, 4 on 37- and 181-point grids: sampled scans at 100
+        and 1000 counts over 20 seeds, and exact scans, each at t = 0, 0.25
+        and 1.  Like FROZEN_SHA256 it holds per platform only: the bytes move
+        by about one ulp with the SIMD kernels numpy dispatches for float64
+        sin, cos and exp.
+        """
+        digest = hashlib.sha256()
+
+        def update(*values):
+            for value in values:
+                digest.update(value.encode() if isinstance(value, str) else
+                              np.asarray(value).tobytes())
+
+        grids = [np.deg2rad(np.arange(0.0, 180.0 + 1e-9, step)) for step in (5.0, 1.0)]
+        runs = [(d, grid, counts, seed, "sampled") for d in (2, 3, 4) for grid in grids
+                for counts in (100, 1000) for seed in range(20)]
+        runs += [(d, grid, 1000, 0, "exact") for d in (2, 3, 4) for grid in grids]
+        for d, grid, counts, seed, mode in runs:
+            cfg = sagnacsim.ExperimentConfig(dim=d, schedule=sagnacsim.builtin_schedule(d),
+                                             theta_grid=grid, counts_per_point=counts,
+                                             rng_seed=seed)
+            fits = []
+            for t in (0.0, 0.25, 1.0):
+                scan = sagnacsim.generate_scan(cfg, t, mode)
+                fits.append(sagnacsim.fit_fringe(scan))
+                update(scan.values, *(getattr(fits[-1], f.name)
+                                      for f in dataclasses.fields(fits[-1])))
+            for fit in fits[1:]:
+                update(*sagnacsim.phase_shift(fits[0], fit))
+        assert digest.hexdigest() == self.FROZEN_SAMPLED_PATH_SHA256
+
     # a d = 3 loop given as breakpoints, not the built-in closed form; it ends in class 1
     SCHEDULE = {"dim": 3, "breakpoints": [[0.0, [0.0, 0.0, 0.0]], [0.5, [90.0, 30.0, -120.0]],
                                           [1.0, [120.0, 120.0, -240.0]]]}
