@@ -69,7 +69,7 @@ MUTANTS = [
      "unknown schedule kind"),
     # scans: model, sampling and IO
     ("sagnac.py", "if grid.size == 0:", "if False:", "caught", "empty theta grid"),
-    ("sagnac.py", "if (np.diff(grid) <= 0.0).any():", "if False:", "caught",
+    ("sagnac.py", "if (grid[1:] <= grid[:-1]).any():", "if False:", "caught",
      "non-increasing theta grid"),
     ("sagnac.py", "grid = np.array(self.theta_grid, dtype=float)",
      "grid = np.asarray(self.theta_grid, dtype=float)", "caught",
@@ -79,6 +79,8 @@ MUTANTS = [
      "scan freezes the caller's thetas"),
     ("sagnac.py", "if not (np.isfinite(thetas).all() and np.isfinite(values).all()):",
      "if False:", "caught", "non-finite scan values"),
+    ("sagnac.py", "if (thetas[1:] <= thetas[:-1]).any():", "if False:", "caught",
+     "non-increasing scan thetas"),
     ("sagnac.py", "if values.shape != thetas.shape:", "if False:", "caught",
      "thetas and values of different shapes"),
     ("sagnac.py", 'raise ConfigError(f"unknown scan mode {self.mode!r}")',
@@ -103,8 +105,10 @@ MUTANTS = [
      "singular normal matrix"),
     ("analysis.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
      "caught", "singular covariance"),
-    ("analysis.py", """raise FitError("the scan's angles resolve no fringe at a = 4") from None""",
-     "raise", "caught", "singular start"),
+    ("analysis.py", """raise FitError("the scan's angles resolve no fringe at a = 4")""",
+     "pass", "caught", "singular start"),
+    ("analysis.py", "if det <= 1e-12 * ((n00 + n11 + n22) / 3.0) ** 3:", "if det <= 0.0:",
+     "caught", "start refused only when exactly singular, not on a 45-degree grid"),
     ("analysis.py", "freq, phase, sign = -freq, -phase, -1.0", "freq, phase = -freq, -phase",
      "caught", "covariance of a flipped frequency"),
     ("analysis.py", "* (rss / (n - 4))", "* (rss / n)", "caught",

@@ -64,7 +64,8 @@ class FitResult:
 
     @property
     def phase_sigma(self) -> float:
-        return float(self.sigmas[3])
+        """sigmas[3] alone: a negative variance gives 0, a NaN one NaN."""
+        return math.sqrt(max(self.covariance[3, 3], 0.0))
 
     def to_json_dict(self) -> dict:
         deg = np.rad2deg
@@ -112,7 +113,8 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     c2 sin(a theta), with (c0, c1, c2) = (A, -A v cos b, A v sin b) (Golub &
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
     least-squares solve at a = 4, by its normal equations, which leaves no
-    wrong phase basin to fall into.  Gauss-Newton in (c0, c1, c2, a) then
+    wrong phase basin to fall into; angles that resolve no fringe there raise
+    ``FitError``.  Gauss-Newton in (c0, c1, c2, a) then
     refines all four, halving a step that does not lower the residual sum of
     squares (RSS) at most ``MAX_HALVINGS`` times.  The loop stops when the
     relative RSS change drops below ``RSS_REL_TOL`` ("converged"), when the
@@ -138,19 +140,37 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         return FitResult(float(np.mean(y)), 0.0, NOMINAL_FREQUENCY, 0.0, np.zeros((4, 4)), 0.0,
                          n, termination="flat")
 
-    # rows hold 1, cos a theta, sin a theta, d model / d a and the residual at
-    # (c0, c1, c2, a), so rows[:4] @ rows.T is [J^T J | J^T r]; row 3 is 0 at the start
-    angle = NOMINAL_FREQUENCY * theta
-    rows = np.stack([np.ones(n), np.cos(angle), np.sin(angle), np.zeros(n), y])
-    normal = rows[:3] @ rows.T
-    try:  # singular when, say, every theta is a multiple of pi / 2
-        c0, c1, c2 = np.linalg.solve(normal[:, :3], normal[:, 4]).tolist()
-    except np.linalg.LinAlgError:
-        raise FitError("the scan's angles resolve no fringe at a = 4") from None
-    rows[4] -= c0 + c1 * rows[1] + c2 * rows[2]
-    rss = float(rows[4] @ rows[4])
-    rows[3] = theta * (c2 * rows[1] - c1 * rows[2])
-    normal = rows[:4] @ rows.T
+    # rows 0-4 hold 1, cos a theta, sin a theta, d model / d a and the residual at
+    # (c0, c1, c2, a), so jt @ jr = J^T [J | r] is [J^T J | J^T r]; rows 5-6 are scratch,
+    # and every view is made once
+    rows = np.empty((7, n))
+    rows[0], rows[3], rows[4] = 1.0, 0.0, y
+    _, cos, sin, slope, resid, model, scratch = rows
+    jt, jr = rows[:4], rows[:5].T
+    np.cos(np.multiply(NOMINAL_FREQUENCY, theta, out=model), out=cos)
+    np.sin(model, out=sin)
+
+    def linear(c0: float, c1: float, c2: float) -> np.ndarray:  # model = (c0 + c1 cos) + c2 sin
+        np.add(c0, np.multiply(c1, cos, out=model), out=model)
+        return np.add(model, np.multiply(c2, sin, out=scratch), out=model)
+
+    def normal_at(c1: float, c2: float) -> np.ndarray:  # slope = theta (c2 cos - c1 sin)
+        np.subtract(np.multiply(c2, cos, out=model), np.multiply(c1, sin, out=scratch), out=model)
+        np.multiply(theta, model, out=slope)
+        return jt @ jr
+
+    normal = rows[:3] @ jr
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = normal[:, :3].tolist()
+    det = (n00 * (n11 * n22 - n12 * n21) - n01 * (n10 * n22 - n12 * n20)
+           + n02 * (n10 * n21 - n11 * n20))
+    # scale-free: det / (trace / 3)^3 is 0 on a 90-degree grid, ~1e-31 on a 45-degree one
+    # (4 theta on two points, sin 4 theta ~ 1e-16) and 0.1-0.9 where a fringe shows
+    if det <= 1e-12 * ((n00 + n11 + n22) / 3.0) ** 3:
+        raise FitError("the scan's angles resolve no fringe at a = 4")
+    c0, c1, c2 = np.linalg.solve(normal[:, :3], normal[:, 4]).tolist()
+    np.subtract(resid, linear(c0, c1, c2), out=resid)
+    rss = float(resid @ resid)
+    normal = normal_at(c1, c2)
     freq, termination = NOMINAL_FREQUENCY, "max-iterations"
     for iterations in range(1, MAX_ITERATIONS + 1):
         try:
@@ -167,10 +187,10 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         h = 1.0  # the step's scale: halving a power of two rounds nothing
         for _ in range(MAX_HALVINGS):
             t0, t1, t2, t3 = c0 + h * s0, c1 + h * s1, c2 + h * s2, freq + h * s3
-            np.cos(np.multiply(t3, theta, out=rows[4]), out=rows[1])
-            np.sin(rows[4], out=rows[2])
-            np.subtract(y, t0 + t1 * rows[1] + t2 * rows[2], out=rows[4])
-            rss_try = float(rows[4] @ rows[4])
+            np.cos(np.multiply(t3, theta, out=resid), out=cos)
+            np.sin(resid, out=sin)
+            np.subtract(y, linear(t0, t1, t2), out=resid)
+            rss_try = float(resid @ resid)
             if rss_try < rss:
                 break
             h *= 0.5
@@ -178,8 +198,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
             termination = "stalled"
             break
         c0, c1, c2, freq, rss_prev, rss = t0, t1, t2, t3, rss, rss_try
-        rows[3] = theta * (c2 * rows[1] - c1 * rows[2])
-        normal = rows[:4] @ rows.T
+        normal = normal_at(c1, c2)
         if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
             termination = "converged"
             break

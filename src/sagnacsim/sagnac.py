@@ -75,7 +75,7 @@ def _coincidence(amplitudes: np.ndarray, xi: np.ndarray, theta: np.ndarray) -> n
     ``theta`` (...) broadcast over their leading axes."""
     diff = (np.exp(1j * xi)[..., :, None] * amplitudes
             - np.exp(4j * theta)[..., None, None] * np.swapaxes(amplitudes, -1, -2))
-    return 0.25 * np.sum(np.abs(diff) ** 2, axis=(-2, -1))
+    return 0.25 * (np.abs(diff) ** 2).sum(axis=(-2, -1))
 
 
 def coincidence_full(state: BipartiteQuditState, xi, theta) -> float | np.ndarray:
@@ -169,7 +169,7 @@ class ExperimentConfig:
         grid = np.array(self.theta_grid, dtype=float)  # a copy: the read-only flag stays ours
         if grid.size == 0:
             raise ConfigError("theta grid must not be empty")
-        if (np.diff(grid) <= 0.0).any():
+        if (grid[1:] <= grid[:-1]).any():
             raise ConfigError("theta grid must be strictly increasing")
         contrast = _real(self.contrast, "contrast")
         if not 0.0 <= contrast <= 1.0:
@@ -204,7 +204,7 @@ class FringeScan:
         values = np.asarray(self.values)
         if not (np.isfinite(thetas).all() and np.isfinite(values).all()):
             raise ConfigError("scan thetas and values must be finite")
-        if (np.diff(thetas) <= 0.0).any():
+        if (thetas[1:] <= thetas[:-1]).any():
             raise ConfigError("scan thetas must be strictly increasing")
         if values.shape != thetas.shape:
             raise ConfigError("thetas and values must have matching shapes")
@@ -236,13 +236,15 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     """
     xi = cfg.schedule(t)
     mes = make_antisymmetric_mes(cfg.dim)
-    p = coincidence_full(mes, xi, cfg.theta_grid)
-    # rounding can overshoot the closed interval by ~1 ulp
-    values = (0.5 + cfg.contrast * (p - 0.5)).clip(0.0, 1.0)
+    values = coincidence_full(mes, xi, cfg.theta_grid)
+    # p' = 0.5 + contrast * (p - 0.5) in place; rounding can overshoot [0, 1] by ~1 ulp
+    np.add(0.5, np.multiply(cfg.contrast, np.subtract(values, 0.5, out=values), out=values),
+           out=values)
+    np.minimum(np.maximum(values, 0.0, out=values), 1.0, out=values)
     if mode == "sampled":
         key = (cfg.dim, _stream_key(t))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=key))
-        values = rng.poisson(cfg.counts_per_point * values)
+        values = rng.poisson(np.multiply(cfg.counts_per_point, values, out=values))
     # FringeScan refuses any other mode
     return FringeScan(t, cfg.theta_grid, values, mode)
 

@@ -111,9 +111,9 @@ class PhaseSchedule:
         the whole call.
         """
         t = np.asarray(t, dtype=float)
-        bad = ~((t >= 0.0) & (t <= 1.0))
-        if bad.any():
-            raise ScheduleError(f"t out of range: {t[bad].flat[0]} not in [0, 1]")
+        inside = (t >= 0.0) & (t <= 1.0)
+        if not inside.all():
+            raise ScheduleError(f"t out of range: {t[~inside].flat[0]} not in [0, 1]")
         if self.kind == "builtin":
             return _builtin_phases(self.dim, t)
         xi = np.empty(t.shape + (self.dim,))

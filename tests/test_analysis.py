@@ -164,6 +164,15 @@ class TestFitFringe:
         with pytest.raises(FitError, match="resolve no fringe"):
             fit_fringe(FringeScan(0.0, thetas, counts, "sampled"))
 
+    def test_angles_on_two_fringe_points_rejected(self):
+        # every theta a multiple of 45 degrees puts 4 theta on two points mod 2 pi: the
+        # start is singular in exact arithmetic, but sin 4 theta ~ 1e-16 leaves it
+        # solvable in floats, with a sin coefficient that is rounding noise
+        thetas = np.deg2rad(np.arange(0.0, 360.0, 45.0))
+        counts = np.array([1, 2, 1, 3, 1, 2, 1, 5])
+        with pytest.raises(FitError, match="resolve no fringe"):
+            fit_fringe(FringeScan(0.0, thetas, counts, "sampled"))
+
     @pytest.mark.parametrize("step_deg", [5.0, 1.0], ids=["37-point", "181-point"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_reference_phase_below_two_pi(self, d, step_deg):
@@ -293,6 +302,20 @@ class TestPhaseShift:
         edge = dataclasses.replace(ref, visibility=MIN_VISIBILITY)
         with pytest.raises(LowVisibilityError):
             phase_shift(ref, edge)
+
+    def test_negative_or_nan_phase_variance(self):
+        cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), rng_seed=5)
+        fit = fit_fringe(generate_scan(cfg, 0.0))
+        assert fit.phase_sigma > 0.0
+        covariance = fit.covariance.copy()
+        covariance[3, 3] = -1e-6  # contributes 0 to sigma
+        negative = dataclasses.replace(fit, covariance=covariance)
+        assert negative.phase_sigma == 0.0
+        assert phase_shift(fit, negative)[1] == phase_shift(negative, fit)[1] == fit.phase_sigma
+        covariance = fit.covariance.copy()
+        covariance[3, 3] = np.nan
+        nan = dataclasses.replace(fit, covariance=covariance)
+        assert np.isnan(phase_shift(fit, nan)[1]) and np.isnan(phase_shift(nan, fit)[1])
 
     def test_negative_amplitude_rejected(self):
         good = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))

@@ -351,6 +351,13 @@ class TestFit:
         assert report["fit"]["termination"] in ("step", "converged")
         assert "ref_fit" in json.loads((tmp_path / "with_ref.json").read_text())
 
+    def test_angles_on_two_fringe_points_exit_1(self, tmp_path, capsys):
+        scan = tmp_path / "45.csv"
+        scan.write_text("theta_deg,counts\n" + "".join(
+            f"{45 * k},{count}\n" for k, count in enumerate([1, 2, 1, 3, 1, 2, 1, 5])))
+        assert run_cli("fit", scan) == 1
+        assert capsys.readouterr().err.startswith("error: the scan's angles resolve no fringe")
+
     def test_singular_covariance_exits_1(self, tmp_path, capsys, monkeypatch):
         scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
         capsys.readouterr()

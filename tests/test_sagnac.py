@@ -148,6 +148,9 @@ class TestExperimentConfig:
             ExperimentConfig(dim=2, schedule=sched, theta_grid=np.array([]))
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, theta_grid=np.array([0.2, 0.1]))
+        # a repeated infinity is not increasing, though inf - inf is NaN, not <= 0
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            ExperimentConfig(dim=2, schedule=sched, theta_grid=[0.0, np.inf, np.inf])
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, contrast=1.5)
         with pytest.raises(ConfigError):
