@@ -512,26 +512,30 @@ class TestCampaign:
         },
     }
 
-    # sha256 of the numbers along the sampled path, from test_sampled_path_numbers_frozen
-    FROZEN_SAMPLED_PATH_SHA256 = "55b3c3ad2ca7085616171801d7f2cecbd090f5efe536d4672804bf16c1fd6170"
+    # sha256 of the numbers along the sampled path, from test_sampled_path_numbers_frozen:
+    # the scan values apart from the fits and shifts, so a fit change shows it moved no count
+    FROZEN_SAMPLED_PATH_SHA256 = {
+        "scans": "a7de15559be9cd105104bd57345cbf108e1e3ba0f20b2b1c7c6f278ff4866bd8",
+        "fits": "d5ce13321f9f3bf5b7fa028008744491b435a97adc3ef223793ec05b4072fbed",
+    }
 
     def test_sampled_path_numbers_frozen(self):
         """The bytes of the scan -> fit -> shift path, in memory, over seeded scans.
 
-        It hashes the scan values, every FitResult field (the covariance, the
-        iteration count and the termination included) and each phase_shift
-        pair, for d = 2, 3, 4 on 37- and 181-point grids: sampled scans at 100
-        and 1000 counts over 20 seeds, and exact scans, each at t = 0, 0.25
-        and 1.  Like FROZEN_SHA256 it holds per platform only: the bytes move
-        by about one ulp with the SIMD kernels numpy dispatches for float64
-        sin, cos and exp.
+        One digest takes the scan values; the other every FitResult field (the
+        covariance, the iteration count and the termination included) and
+        each phase_shift pair, for d = 2, 3, 4 on 37- and 181-point grids:
+        sampled scans at 100 and 1000 counts over 20 seeds, and exact scans,
+        each at t = 0, 0.25 and 1.  Like FROZEN_SHA256 it holds per platform
+        only: the bytes move by about one ulp with the SIMD kernels numpy
+        dispatches for float64 sin, cos and exp.
         """
-        digest = hashlib.sha256()
+        digests = {"scans": hashlib.sha256(), "fits": hashlib.sha256()}
 
-        def update(*values):
+        def update(name, *values):
             for value in values:
-                digest.update(value.encode() if isinstance(value, str) else
-                              np.asarray(value).tobytes())
+                digests[name].update(value.encode() if isinstance(value, str) else
+                                     np.asarray(value).tobytes())
 
         grids = [np.deg2rad(np.arange(0.0, 180.0 + 1e-9, step)) for step in (5.0, 1.0)]
         runs = [(d, grid, counts, seed, "sampled") for d in (2, 3, 4) for grid in grids
@@ -545,11 +549,12 @@ class TestCampaign:
             for t in (0.0, 0.25, 1.0):
                 scan = sagnacsim.generate_scan(cfg, t, mode)
                 fits.append(sagnacsim.fit_fringe(scan))
-                update(scan.values, *(getattr(fits[-1], f.name)
-                                      for f in dataclasses.fields(fits[-1])))
+                update("scans", scan.values)
+                update("fits", *(getattr(fits[-1], f.name) for f in dataclasses.fields(fits[-1])))
             for fit in fits[1:]:
-                update(*sagnacsim.phase_shift(fits[0], fit))
-        assert digest.hexdigest() == self.FROZEN_SAMPLED_PATH_SHA256
+                update("fits", *sagnacsim.phase_shift(fits[0], fit))
+        assert ({name: digest.hexdigest() for name, digest in digests.items()}
+                == self.FROZEN_SAMPLED_PATH_SHA256)
 
     # a d = 3 loop given as breakpoints, not the built-in closed form; it ends in class 1
     SCHEDULE = {"dim": 3, "breakpoints": [[0.0, [0.0, 0.0, 0.0]], [0.5, [90.0, 30.0, -120.0]],
