@@ -101,10 +101,19 @@ MUTANTS = [
     ("analysis.py", "if freq < 0.0:", "if freq < -1.0:", "caught",
      "negative frequency above -1 kept"),
     ("analysis.py", "MAX_HALVINGS = 8", "MAX_HALVINGS = 2", "caught", "two step halvings"),
-    ("analysis.py", "s0 = s1 = s2 = s3 = math.nan", "raise", "caught",
+    ("analysis.py", "return math.nan, math.nan, math.nan, math.nan", "raise", "caught",
      "singular normal matrix"),
-    ("analysis.py", "except np.linalg.LinAlgError as exc:", "except ZeroDivisionError as exc:",
-     "caught", "singular covariance"),
+    ("analysis.py", "except (ValueError, ZeroDivisionError):", "except ZeroDivisionError:",
+     "caught", "indefinite normal matrix raises out of the step"),
+    ("analysis.py", "except (ValueError, ZeroDivisionError) as exc:",
+     "except ZeroDivisionError as exc:", "caught", "singular covariance"),
+    ("analysis.py", "row_a[3] = 1.0", "row_a[3] = 0.0", "caught",
+     "start solved with a zero a-row"),
+    ("analysis.py", "l32, z2 = (n23 - l20 * l30 - l21 * l31) / l22",
+     "l32, z2 = (n23 - l20 * l30) / l22", "caught", "Cholesky factor missing one term"),
+    ("analysis.py", "h1, h2 = sb / (amp * vis), sign * cb / (amp * vis)",
+     "h1, h2 = sb / (amp * vis), cb / (amp * vis)", "caught",
+     "phase row of G not flipped with the frequency"),
     ("analysis.py", """raise FitError("the scan's angles resolve no fringe at a = 4")""",
      "pass", "caught", "singular start"),
     ("analysis.py", "if det <= 1e-12 * ((n00 + n11 + n22) / 3.0) ** 3:", "if det <= 0.0:",

@@ -28,8 +28,9 @@ MAX_HALVINGS = 8
 NOMINAL_FREQUENCY = 4.0
 MIN_POINTS = 8
 MIN_SPAN = np.pi / 2.0  # one fringe period at the nominal frequency a = 4
-# fit algorithm of fit JSON and summary.json; 3 = variable projection, phase in [0, 2*pi)
-FIT_VERSION = 3
+# fit algorithm of fit JSON and summary.json; 4 = variable projection solved by a Cholesky
+# factor in Python floats, phase in [0, 2*pi)
+FIT_VERSION = 4
 
 
 def fold_angle(x: float) -> float:
@@ -106,6 +107,62 @@ def _wrap(x: float) -> float:
     return 0.0 if y == TWO_PI else y
 
 
+def _cholesky(normal: list) -> tuple:
+    """L in N = L L^T by rows (l00, l10, l11, ..., l33), then z = L^-1 b, for the rows [N | b].
+
+    Column by column in Python floats, from N's upper triangle, with b as a fifth column;
+    a pivot that is not positive raises ValueError or ZeroDivisionError, a NaN one gives NaN.
+    """
+    ((n00, n01, n02, n03, b0), (_, n11, n12, n13, b1),
+     (_, _, n22, n23, b2), (_, _, _, n33, b3)) = normal
+    l00 = math.sqrt(n00)
+    l10, l20, l30, z0 = n01 / l00, n02 / l00, n03 / l00, b0 / l00
+    l11 = math.sqrt(n11 - l10 * l10)
+    l21, l31, z1 = (n12 - l10 * l20) / l11, (n13 - l10 * l30) / l11, (b1 - l10 * z0) / l11
+    l22 = math.sqrt(n22 - l20 * l20 - l21 * l21)
+    l32, z2 = (n23 - l20 * l30 - l21 * l31) / l22, (b2 - l20 * z0 - l21 * z1) / l22
+    l33 = math.sqrt(n33 - l30 * l30 - l31 * l31 - l32 * l32)
+    z3 = (b3 - l30 * z0 - l31 * z1 - l32 * z2) / l33
+    return l00, l10, l11, l20, l21, l22, l30, l31, l32, l33, z0, z1, z2, z3
+
+
+def _solve(normal: list) -> tuple[float, float, float, float]:
+    """The solution s of N s = b by back substitution, or NaN where N is not positive definite."""
+    try:
+        l00, l10, l11, l20, l21, l22, l30, l31, l32, l33, z0, z1, z2, z3 = _cholesky(normal)
+    except (ValueError, ZeroDivisionError):
+        return math.nan, math.nan, math.nan, math.nan
+    s3 = z3 / l33
+    s2 = (z2 - l32 * s3) / l22
+    s1 = (z1 - l21 * s2 - l31 * s3) / l11
+    return (z0 - l10 * s1 - l20 * s2 - l30 * s3) / l00, s1, s2, s3
+
+
+def _inverse_factor(normal: list) -> tuple:
+    """The rows of W = L^-1 (w00, w10, w11, ..., w33), so N^-1 = W^T W; raises as _cholesky."""
+    l00, l10, l11, l20, l21, l22, l30, l31, l32, l33 = _cholesky(normal)[:10]
+    w00, w11, w22, w33 = 1.0 / l00, 1.0 / l11, 1.0 / l22, 1.0 / l33
+    w10, w21, w32 = -l10 * w00 / l11, -l21 * w11 / l22, -l32 * w22 / l33
+    w20, w31 = -(l20 * w00 + l21 * w10) / l22, -(l31 * w11 + l32 * w21) / l33
+    w30 = -(l30 * w00 + l31 * w10 + l32 * w20) / l33
+    return w00, w10, w11, w20, w21, w22, w30, w31, w32, w33
+
+
+def _covariance(normal: list, amp: float, vis: float, phase: float, sign: float) -> np.ndarray:
+    """G N^-1 G^T = (G W^T)(G W^T)^T for G = d(A, v, a, b) / d(c0, c1, c2, a), the inverse of
+    the chain rule's matrix, with rows e0, (-v, -cos b, sign sin b, 0) / A, sign e3 and
+    (0, sin b, sign cos b, 0) / (A v); A = 0 or v = 0 raises ZeroDivisionError."""
+    w00, w10, w11, w20, w21, w22, w30, w31, w32, w33 = _inverse_factor(normal)
+    cb, sb = math.cos(phase), math.sin(phase)
+    g0, g1, g2 = -vis / amp, -cb / amp, sign * sb / amp
+    h1, h2 = sb / (amp * vis), sign * cb / (amp * vis)
+    gw = np.array((w00, w10, w20, w30, g0 * w00, g0 * w10 + g1 * w11,
+                   g0 * w20 + g1 * w21 + g2 * w22, g0 * w30 + g1 * w31 + g2 * w32,
+                   0.0, 0.0, 0.0, sign * w33,
+                   0.0, h1 * w11, h1 * w21 + h2 * w22, h1 * w31 + h2 * w32)).reshape(4, 4)
+    return gw @ gw.T
+
+
 def fit_fringe(scan: FringeScan) -> FitResult:
     """Variable-projection Gauss-Newton fit of the four-parameter fringe model.
 
@@ -116,14 +173,15 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     wrong phase basin to fall into; angles that resolve no fringe there raise
     ``FitError``.  Gauss-Newton in (c0, c1, c2, a) then
     refines all four, halving a step that does not lower the residual sum of
-    squares (RSS) at most ``MAX_HALVINGS`` times.  The loop stops when the
-    relative RSS change drops below ``RSS_REL_TOL`` ("converged"), when the
-    relative step reaches the floating-point floor ("step"), when no halving
-    lowers the RSS or the normal matrix is singular ("stalled"), or after
-    ``MAX_ITERATIONS`` ("max-iterations").  The covariance, the inverse normal
-    matrix of (A, v, a, b) times RSS / (n - 4), is the loop's by the chain
-    rule; a singular one (v = 0 or A = 0) raises ``FitError``.  Flat data
-    short-circuits to v = 0 with the phase flagged undefined ("flat").
+    squares (RSS) at most ``MAX_HALVINGS`` times; each solve is a Cholesky
+    factor of the normal matrix N in Python floats.  The loop stops on a relative
+    RSS change below ``RSS_REL_TOL`` ("converged"), a relative step at the
+    floating-point floor ("step"), no halving that lowers the RSS or an N that is
+    not positive definite ("stalled"), or after ``MAX_ITERATIONS``
+    ("max-iterations").  The covariance of (A, v, a, b) is G N^-1 G^T times
+    RSS / (n - 4), G = d(A, v, a, b) / d(c0, c1, c2, a); a singular one (v = 0
+    or A = 0) raises ``FitError``.  Flat data short-circuits to v = 0 with the
+    phase flagged undefined ("flat").
     """
     theta = scan.thetas
     y = scan.values.astype(float)
@@ -142,7 +200,7 @@ def fit_fringe(scan: FringeScan) -> FitResult:
 
     # rows 0-4 hold 1, cos a theta, sin a theta, d model / d a and the residual at
     # (c0, c1, c2, a), so jt @ jr = J^T [J | r] is [J^T J | J^T r]; rows 5-6 are scratch,
-    # and every view is made once
+    # and every view is made once; row 3 is 0 until the start is solved
     rows = np.empty((7, n))
     rows[0], rows[3], rows[4] = 1.0, 0.0, y
     _, cos, sin, slope, resid, model, scratch = rows
@@ -154,31 +212,29 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         np.add(c0, np.multiply(c1, cos, out=model), out=model)
         return np.add(model, np.multiply(c2, sin, out=scratch), out=model)
 
-    def normal_at(c1: float, c2: float) -> np.ndarray:  # slope = theta (c2 cos - c1 sin)
+    def normal_at(c1: float, c2: float) -> list:  # slope = theta (c2 cos - c1 sin)
         np.subtract(np.multiply(c2, cos, out=model), np.multiply(c1, sin, out=scratch), out=model)
         np.multiply(theta, model, out=slope)
-        return jt @ jr
+        return (jt @ jr).tolist()
 
-    normal = rows[:3] @ jr
-    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = normal[:, :3].tolist()
+    normal = (jt @ jr).tolist()
+    (n00, n01, n02, _, _), (n10, n11, n12, _, _), (n20, n21, n22, _, _), row_a = normal
     det = (n00 * (n11 * n22 - n12 * n21) - n01 * (n10 * n22 - n12 * n20)
            + n02 * (n10 * n21 - n11 * n20))
     # scale-free: det / (trace / 3)^3 is 0 on a 90-degree grid, ~1e-31 on a 45-degree one
     # (4 theta on two points, sin 4 theta ~ 1e-16) and 0.1-0.9 where a fringe shows
     if det <= 1e-12 * ((n00 + n11 + n22) / 3.0) ** 3:
         raise FitError("the scan's angles resolve no fringe at a = 4")
-    c0, c1, c2 = np.linalg.solve(normal[:, :3], normal[:, 4]).tolist()
+    row_a[3] = 1.0  # a unit a-row holds a at 4, so this is the 3x3 solve in the 4x4 factor
+    c0, c1, c2, _ = _solve(normal)
     np.subtract(resid, linear(c0, c1, c2), out=resid)
     rss = float(resid @ resid)
     normal = normal_at(c1, c2)
     freq, termination = NOMINAL_FREQUENCY, "max-iterations"
     for iterations in range(1, MAX_ITERATIONS + 1):
-        try:
-            s0, s1, s2, s3 = np.linalg.solve(normal[:, :4], normal[:, 4]).tolist()
-        except np.linalg.LinAlgError:
-            s0 = s1 = s2 = s3 = math.nan
+        s0, s1, s2, s3 = _solve(normal)
         step_sq = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3
-        if not math.isfinite(step_sq):  # a singular or non-finite normal matrix
+        if not math.isfinite(step_sq):  # a normal matrix not positive definite, or not finite
             termination = "stalled"
             break
         if step_sq <= STEP_REL_TOL**2 * (c0 * c0 + c1 * c1 + c2 * c2 + freq * freq):
@@ -210,14 +266,9 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     if freq < 0.0:  # the flip a -> -a also flips the sign of c2
         freq, phase, sign = -freq, -phase, -1.0
     vis, phase = min(max(vis, 0.0), 1.0), _wrap(phase)
-    cb, sb = math.cos(phase), math.sin(phase)
-    chain = np.array([[1.0, 0.0, 0.0, 0.0],  # d(c0, c1, c2, a) / d(A, v, a, b)
-                      [-vis * cb, -amp * cb, 0.0, amp * vis * sb],
-                      [sign * vis * sb, sign * amp * sb, 0.0, sign * amp * vis * cb],
-                      [0.0, 0.0, sign, 0.0]])
     try:
-        cov = np.linalg.inv(chain.T @ normal[:, :4] @ chain) * (rss / (n - 4))
-    except np.linalg.LinAlgError as exc:
+        cov = _covariance(normal, amp, vis, phase, sign) * (rss / (n - 4))
+    except (ValueError, ZeroDivisionError) as exc:
         raise FitError(f"singular covariance at v = {vis:.3g}, A = {amp:.3g}") from exc
     return FitResult(amp, vis, freq, phase, cov, rss, n, iterations, termination)
 

@@ -33,6 +33,7 @@ from sagnacsim import (
     make_antisymmetric_mes,
     phase_shift,
 )
+from sagnacsim import analysis
 from sagnacsim.analysis import FIT_VERSION, MIN_VISIBILITY
 from sagnacsim.sagnac import DEFAULT_THETA_GRID
 
@@ -102,7 +103,7 @@ class TestFitFringe:
         assert report["radians"]["phase"] == pytest.approx(fit.phase)
         assert len(report["radians"]["covariance"]) == 4
         assert report["b_defined"]
-        assert report["fit_version"] == FIT_VERSION == 3
+        assert report["fit_version"] == FIT_VERSION == 4
         assert report["iterations"] == fit.iterations >= 1
         assert report["termination"] == fit.termination
 
@@ -138,22 +139,21 @@ class TestFitFringe:
         assert (fit.termination, fit.iterations) == ("converged", 14)
 
     def test_singular_normal_matrix_stalls(self, monkeypatch):
-        real = np.linalg.solve
+        real, calls = analysis._cholesky, []
 
-        def singular(a, b):  # the 3x3 start solves; the 4x4 Gauss-Newton step does not
-            if len(a) == 4:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(a, b)
+        def singular(normal):  # the start solves; the first step's normal loses its a-row
+            calls.append(normal)
+            if len(calls) == 2:
+                normal = [row[:3] + [0.0, row[4]] for row in normal[:3]] + [[0.0] * 5]
+            return real(normal)
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(analysis, "_cholesky", singular)
         fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
         assert (fit.termination, fit.iterations) == ("stalled", 1)
 
     def test_singular_covariance_raises(self, monkeypatch):
-        def singular(a):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        real = analysis._inverse_factor
+        monkeypatch.setattr(analysis, "_inverse_factor", lambda normal: real([[0.0] * 5] * 4))
         with pytest.raises(FitError, match="singular covariance at v = 0.5, A = 0.4"):
             fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
 
@@ -213,6 +213,95 @@ class TestFitFringe:
         for t in (0.0, 0.125, 0.25, 0.375, 0.625, 0.75, 0.875, 1.0):
             fit = fit_fringe(generate_scan(cfg, t, mode="exact"))
             assert fit.iterations <= 3 and fit.termination in ("step", "converged"), (t, fit)
+
+
+def random_normal(seed, log_scales=(0.0,) * 4):
+    """[J^T J | J^T r] for a random 37 x 4 J, its columns scaled by 10^log_scales, and r."""
+    j = np.random.default_rng(seed).normal(size=(37, 5))
+    j[:, :4] *= 10.0 ** np.asarray(log_scales)
+    return j[:, :4].T @ j
+
+
+# [N | b] rows that are not positive definite: a repeated column (pivot 0), an indefinite
+# N (pivot -3) and a NaN entry
+NOT_SPD = {
+    "zero-pivot": [[1.0, 1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0],
+                   [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]],
+    "indefinite": [[1.0, 2.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0, 1.0],
+                   [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]],
+    "nan-entry": [[1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 1.0, np.nan, 1.0], [0.0, 0.0, np.nan, 1.0, 1.0]],
+}
+
+
+class TestCholeskySolve:
+    """The fit's Cholesky solve in Python floats against numpy's LAPACK routines."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           log_scales=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_solve_and_inverse_match_lapack(self, seed, log_scales):
+        # column scales over six decades give cond(N) up to ~1e12; both routes are backward
+        # stable, so each lies within a small multiple of cond(N) eps of the exact answer
+        normal = random_normal(seed, log_scales)
+        n, b = normal[:, :4], normal[:, 4]
+        bound = 16.0 * np.linalg.cond(n) * np.finfo(float).eps
+        solve = np.linalg.solve(n, b)
+        assert (np.linalg.norm(analysis._solve(normal.tolist()) - solve)
+                <= bound * np.linalg.norm(solve))
+        w = np.zeros((4, 4))
+        w[np.tril_indices(4)] = analysis._inverse_factor(normal.tolist())
+        inv = np.linalg.inv(n)
+        assert np.linalg.norm(w.T @ w - inv, 2) <= bound * np.linalg.norm(inv, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), log_amplitude=st.floats(-1.0, 3.0),
+           visibility=st.floats(0.05, 1.0), phase=st.floats(0.0, 2.0 * np.pi),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_covariance_matches_chain_rule_inverse(self, seed, log_amplitude, visibility,
+                                                   phase, sign):
+        # fit_version 3 inverted C^T N C, C = d(c0, c1, c2, a) / d(A, v, a, b); G = C^-1
+        normal, amp = random_normal(seed), 10.0**log_amplitude
+        cb, sb = np.cos(phase), np.sin(phase)
+        chain = np.array([[1.0, 0.0, 0.0, 0.0],
+                          [-visibility * cb, -amp * cb, 0.0, amp * visibility * sb],
+                          [sign * visibility * sb, sign * amp * sb, 0.0,
+                           sign * amp * visibility * cb],
+                          [0.0, 0.0, sign, 0.0]])
+        old = np.linalg.inv(chain.T @ normal[:, :4] @ chain)
+        new = analysis._covariance(normal.tolist(), amp, visibility, phase, sign)
+        assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+    @pytest.mark.parametrize("name", sorted(NOT_SPD))
+    def test_not_positive_definite(self, monkeypatch, name):
+        bad = NOT_SPD[name]
+        assert np.isnan(analysis._solve(bad)).all()
+        if name != "nan-entry":
+            with pytest.raises(ValueError if name == "indefinite" else ZeroDivisionError):
+                analysis._inverse_factor(bad)
+        real, calls = analysis._cholesky, []
+
+        def factor(normal):  # the start solves; every later factor is of the bad matrix
+            calls.append(normal)
+            return real(normal if len(calls) == 1 else bad)
+
+        monkeypatch.setattr(analysis, "_cholesky", factor)
+        if name == "nan-entry":  # NaN pivots raise nothing: a NaN step, as from LAPACK
+            fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+            assert (fit.termination, fit.iterations) == ("stalled", 1)
+        else:
+            with pytest.raises(FitError, match="singular covariance at v = 0.5, A = 0.4"):
+                fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
+
+    def test_no_linalg_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_fringe called numpy.linalg")
+
+        for name in ("solve", "inv", "lstsq", "pinv", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for thetas in (THETAS, np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 1.0))):
+            assert fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0, thetas)).termination in (
+                "step", "converged")
 
 
 @st.composite

@@ -347,7 +347,7 @@ class TestFit:
         assert run_cli("fit", op) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"fit"}
-        assert report["fit"]["fit_version"] == 3
+        assert report["fit"]["fit_version"] == 4
         assert report["fit"]["termination"] in ("step", "converged")
         assert "ref_fit" in json.loads((tmp_path / "with_ref.json").read_text())
 
@@ -362,10 +362,9 @@ class TestFit:
         scan = make_scan(tmp_path, "s.csv", "--d", 3, "--t", 0, "--exact")
         capsys.readouterr()
 
-        def singular(a):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        real = sagnacsim.analysis._inverse_factor
+        monkeypatch.setattr(sagnacsim.analysis, "_inverse_factor",
+                            lambda normal: real([[0.0] * 5] * 4))
         assert run_cli("fit", scan) == 1
         assert capsys.readouterr().err.startswith("error: singular covariance at v = 0.35")
 
@@ -407,8 +406,8 @@ class TestCampaign:
                 assert (out_dir / f"scan_d{d}_t{t}.csv").exists()
                 assert (out_dir / f"scan_d{d}_t{t}.json").exists()
                 assert (out_dir / f"fit_d{d}_t{t}.json").exists()
-        assert summary["fit_version"] == 3
-        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 3
+        assert summary["fit_version"] == 4
+        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 4
         # SVG must be well-formed XML with drawable content
         svg = ET.parse(out_dir / "campaign.svg").getroot()
         assert svg.tag.endswith("svg")
@@ -428,12 +427,12 @@ class TestCampaign:
     FROZEN_SHA256 = {
         "exact": {
             "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
-            "fit_d2_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
-            "fit_d2_t0.json": "ede8fab9f7ed05f3315332ba259d9be3ba72dafd62c4a17c66811eafe5457d87",
-            "fit_d2_t1.json": "6e4b460b5982594c34a815b5f4ede2fa78cc3d089a85eedb21bf942cca0fdbd6",
-            "fit_d3_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
-            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
-            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
+            "fit_d2_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
+            "fit_d2_t0.json": "fae50e2bdedcfb55d168da6c0b63df845c7e590a195dd0b16bf90e7672817f5a",
+            "fit_d2_t1.json": "d2bceda54751bac92407817dfd79f5806c93e662c11575fd2eedaf6b1b507d87",
+            "fit_d3_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
+            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
+            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -446,32 +445,32 @@ class TestCampaign:
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "6bd8af4299fdb1fd6bdb8d0ef6d4fb934421be54e2fda518bf45fd6945e22c42",
+            "summary.json": "1ac5b15f084e7dace50dc51d0061f491550f718251b692253f7b4b70c457c364",
         },
         "sampled": {
             "campaign.svg": "62399dbdb6bb49d0402535cc58534f09cf1e6fb0bd196ece06cc8b8b81517607",
-            "fit_d3_t0.25.json": "727b75af7a928d08041014ad9d50387b62b3ddc383021bd1d0d1c61d7f12a949",
-            "fit_d3_t0.json": "c4d03bd1f53a82a7b1b0ff0c4e4fadbd3cb29865e03b11477fc6a045b300130e",
-            "fit_d3_t1.json": "947ff62baa5b0cd9ba112ebd46119825748f6797d8755a2d1d595e3d1a056e04",
+            "fit_d3_t0.25.json": "aa29ae22c1f332bbeb0a30aa456fcaa230ebb9aa8f56f568a955e238a8a35e2a",
+            "fit_d3_t0.json": "df0dd2b1fcf03f222b77190385ce87fc7c65b1ec176b5c1914b4a5bb502aafa3",
+            "fit_d3_t1.json": "136eb05da8c52c616ded58124689ddbbfd0f4c30228c596ba47255610fb0c569",
             "scan_d3_t0.25.csv": "3392e90a6ef98708f06a08567a00225d7b1a7cb428dfaaa92c6307a02c02016a",
             "scan_d3_t0.25.json": "de134fb61974195c3456d8e52444a160e258513a59d268b082144382d3eed77e",
             "scan_d3_t0.csv": "a5532a3e2260c7c85c31d2ad3b2e6190954935d8801e81c6e8ec2c219498df6e",
             "scan_d3_t0.json": "918d5a9d0bc302a592bc801244a193ebddfc8dee458958f5cc5652f4f993c7d9",
             "scan_d3_t1.csv": "a6b7ab39d91265150a90ee2367b9178f7d76bbbe5ce6e77677164680792e3e38",
             "scan_d3_t1.json": "b65ab36fb694d0a55566fa8634bc270d4db62e5423d7eee887f5e09fa6b2ee2a",
-            "summary.json": "1ff03b7f97c4e1bdbe60b44a17378c2fb16502c9d1b47ea20f0b0c7333bc077b",
+            "summary.json": "7ab11fec4cc701c169869055e695080e4a71d3078b14c504d8df9089b03083c1",
         },
         "exact-d234": {
             "campaign.svg": "c97e6ddd144f016ea205bb9b308042ee395b96b60684cab11a48e124456f72b4",
-            "fit_d2_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
-            "fit_d2_t0.json": "ede8fab9f7ed05f3315332ba259d9be3ba72dafd62c4a17c66811eafe5457d87",
-            "fit_d2_t1.json": "6e4b460b5982594c34a815b5f4ede2fa78cc3d089a85eedb21bf942cca0fdbd6",
-            "fit_d3_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
-            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
-            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
-            "fit_d4_t0.5.json": "4f3a26aa37f95b83b5efda7343977b92b1421e9025f6403f0dbf3e7736023ebc",
-            "fit_d4_t0.json": "5c23c864df2089f6a68ffb410ad50f7ed3214505253635af63fcfcdc24801e75",
-            "fit_d4_t1.json": "d0a69b4560ccbf9053e4c1b6d6f6d1994166a01df1bcbf76c02bc9aba0d1876e",
+            "fit_d2_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
+            "fit_d2_t0.json": "fae50e2bdedcfb55d168da6c0b63df845c7e590a195dd0b16bf90e7672817f5a",
+            "fit_d2_t1.json": "d2bceda54751bac92407817dfd79f5806c93e662c11575fd2eedaf6b1b507d87",
+            "fit_d3_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
+            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
+            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
+            "fit_d4_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
+            "fit_d4_t0.json": "8c0e3176fa01b0d86ee167ce1d757e7d754711c0e977fea18719a18c4c7c5532",
+            "fit_d4_t1.json": "f816699be3ecabf885002dac68527db47b07a4cc116f52bb7d0d9a51363ab2a8",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -490,25 +489,25 @@ class TestCampaign:
             "scan_d4_t0.json": "852930196bfc1b955af82885982edd0b0713d5dae27f72b4696824e386155d62",
             "scan_d4_t1.csv": "4a673ae8d7c688171ee837886888cb6439d8a3639846567d18488ad729c238a8",
             "scan_d4_t1.json": "9f0d7cf49b8583ae934fb48e60f4bff58fcb222ade9eed7e344254527176e97f",
-            "summary.json": "5639e8f1bca5e13ff06780156297f05a1f55ea83d8665aa26503e5fff5e6cbfc",
+            "summary.json": "20712bd1202e4079c39788cc3819f9e1252d5a6515728237c9c025e89c3a5cb5",
         },
         "fit-ref": {
-            "fit_ref_d2.json": "2921127186c38aed96d973f637599fe52b2c04249cdf8726b09e36d680c1da79",
-            "fit_ref_d3.json": "81be3614d7020b45fad6976133fb59d92a83839e426e99e2de33796e16df403b",
-            "fit_ref_d4.json": "fdbf0ce92a52c97f4f3b3ce9bfeb7d2225ea7baee90fe0b092f003f19554ce6f",
+            "fit_ref_d2.json": "0017818d8af4220384834ca4740ea035237ab0d9b9b8476684c7c8e98d1bb139",
+            "fit_ref_d3.json": "c6d2d8207bbe7ab45b56bbbd8653f2624afdcc36f8f83bac630f72f66cfa2183",
+            "fit_ref_d4.json": "89e1369442960a7c91d571e1136703094032695bc48322f0339eb42f3ea9d0a5",
         },
         "schedule-file": {
             "campaign.svg": "13f9b7fbe5a5f1db29b66cf333b3b1f4849a8c3c658bdb77e69d838f70cf2bb9",
-            "fit_d3_t0.5.json": "f799dfb46e08f2869e9897fab7220c0f0980a0aff2d52ba892b844096afe17da",
-            "fit_d3_t0.json": "3b5eb2beecf4a3380ecb58facf04061926965d4fd2e4e3761eb8706f3ca49149",
-            "fit_d3_t1.json": "ca3ae1d28bc75a095a26c519af42b5ebc18a62399747f6c6d2e4b821d60ea367",
+            "fit_d3_t0.5.json": "0c4cf34b9235a83b7e74852e7eec3e5038c4668909bfa948d9268d41c8effc86",
+            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
+            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
             "scan_d3_t0.5.csv": "76d61f1038f4aa8d0f15b77d8ad6551f76c7014a4386ecbba098b81b6dc785dd",
             "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
             "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "b0b259f7810f3fd52017110dc4b5ae44d6e789687beeab431fcae3c77214c959",
+            "summary.json": "83af97756df90994a831bd9c57fb45a1ae5fb314474167aaaa4da04daa9f8258",
         },
     }
 
@@ -516,7 +515,7 @@ class TestCampaign:
     # the scan values apart from the fits and shifts, so a fit change shows it moved no count
     FROZEN_SAMPLED_PATH_SHA256 = {
         "scans": "a7de15559be9cd105104bd57345cbf108e1e3ba0f20b2b1c7c6f278ff4866bd8",
-        "fits": "d5ce13321f9f3bf5b7fa028008744491b435a97adc3ef223793ec05b4072fbed",
+        "fits": "58814b3c0b86ac5723a53f87901e7c1d975057539f5abf4e33c9f5d6903076aa",
     }
 
     def test_sampled_path_numbers_frozen(self):
