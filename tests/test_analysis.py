@@ -222,15 +222,15 @@ def random_normal(seed, log_scales=(0.0,) * 4):
     return j[:, :4].T @ j
 
 
-# [N | b] rows that are not positive definite: a repeated column (pivot 0), an indefinite
-# N (pivot -3) and a NaN entry
+# [N | b] rows that are not positive definite, with what factoring them raises: a repeated
+# column (pivot 0), an indefinite N (pivot -3) and a NaN entry (a NaN pivot, no error)
 NOT_SPD = {
-    "zero-pivot": [[1.0, 1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0],
-                   [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]],
-    "indefinite": [[1.0, 2.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0, 1.0],
-                   [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]],
-    "nan-entry": [[1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0],
-                  [0.0, 0.0, 1.0, np.nan, 1.0], [0.0, 0.0, np.nan, 1.0, 1.0]],
+    "zero-pivot": ([[1.0, 1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0],
+                    [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]], ZeroDivisionError),
+    "indefinite": ([[1.0, 2.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0, 1.0],
+                    [0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]], ValueError),
+    "nan-entry": ([[1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0],
+                   [0.0, 0.0, 1.0, np.nan, 1.0], [0.0, 0.0, np.nan, 1.0, 1.0]], None),
 }
 
 
@@ -274,10 +274,10 @@ class TestCholeskySolve:
 
     @pytest.mark.parametrize("name", sorted(NOT_SPD))
     def test_not_positive_definite(self, monkeypatch, name):
-        bad = NOT_SPD[name]
+        bad, error = NOT_SPD[name]
         assert np.isnan(analysis._solve(bad)).all()
-        if name != "nan-entry":
-            with pytest.raises(ValueError if name == "indefinite" else ZeroDivisionError):
+        if error is not None:
+            with pytest.raises(error):
                 analysis._inverse_factor(bad)
         real, calls = analysis._cholesky, []
 
@@ -286,7 +286,7 @@ class TestCholeskySolve:
             return real(normal if len(calls) == 1 else bad)
 
         monkeypatch.setattr(analysis, "_cholesky", factor)
-        if name == "nan-entry":  # NaN pivots raise nothing: a NaN step, as from LAPACK
+        if error is None:  # a NaN step and a NaN covariance, as LAPACK gave
             fit = fit_fringe(model_scan(0.4, 0.5, 4.0, 1.0))
             assert (fit.termination, fit.iterations) == ("stalled", 1)
         else:
