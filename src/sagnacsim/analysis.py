@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateLoopError, FitError, InvalidDimensionError, LowVisibilityError
+from .jones import TWO_PI, _wrap
 from .qudit import BipartiteQuditState
 from .sagnac import FringeScan
 from .schedule import PhaseSchedule
 
-TWO_PI = 2.0 * np.pi
 MIN_VISIBILITY = 0.05
 RSS_REL_TOL = 1e-10
 STEP_REL_TOL = 1e-15
@@ -99,12 +99,6 @@ class FitResult:
 def _model(theta: np.ndarray, p: np.ndarray) -> np.ndarray:
     amp, vis, freq, phase = p
     return amp * (1.0 - vis * np.cos(freq * theta + phase))
-
-
-def _wrap(x: float) -> float:
-    """x mod 2*pi in [0, 2*pi): a tiny negative x, which rounds to 2*pi, maps to 0."""
-    y = float(np.mod(x, TWO_PI))
-    return 0.0 if y == TWO_PI else y
 
 
 def _cholesky(normal: list) -> tuple:

@@ -15,6 +15,13 @@ import numpy as np
 from .errors import NonDiagonalError
 
 DIAG_OFFDIAG_TOL = 1e-9
+TWO_PI = 2.0 * np.pi
+
+
+def _wrap(x: float) -> float:
+    """x mod 2*pi in [0, 2*pi): a tiny negative x, which rounds to 2*pi, maps to 0."""
+    y = float(np.mod(x, TWO_PI))
+    return 0.0 if y == TWO_PI else y
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -63,5 +70,5 @@ def relative_phase(matrix: np.ndarray) -> float:
     off = max(abs(m[0, 1]), abs(m[1, 0]))
     if off > DIAG_OFFDIAG_TOL:
         raise NonDiagonalError(f"off-diagonal magnitude {off:.3e} exceeds {DIAG_OFFDIAG_TOL}")
-    return float(np.mod(np.angle(m[1, 1]) - np.angle(m[0, 0]), 2.0 * np.pi))
+    return _wrap(np.angle(m[1, 1]) - np.angle(m[0, 0]))
 

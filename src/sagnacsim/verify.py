@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_fringe, fold_angle, kinematic_phase, phase_shift
-from .jones import phase_shifter, relative_phase
+from .jones import _wrap, phase_shifter, relative_phase
 from .qudit import BipartiteQuditState, make_antisymmetric_mes
 from .sagnac import (
     ExperimentConfig,
@@ -154,7 +154,7 @@ def check_kinematic_agreement() -> CheckResult:
         fit_op = fit_fringe(generate_scan(cfg, 1.0, mode="exact"))
         shift, _ = phase_shift(fit_ref, fit_op)
         kin = kinematic_phase(make_antisymmetric_mes(d), cfg.schedule, KINEMATIC_STEPS)
-        geo = float(np.mod(kin.geometric, 2.0 * np.pi))
+        geo = _wrap(kin.geometric)
         if not abs(fold_angle(shift - kin.geometric)) <= KINEMATIC_TOL:  # on the circle
             return CheckResult(
                 "kinematic-agreement", False,

@@ -13,6 +13,8 @@ check that ``make_antisymmetric_mes`` gives maximally entangled states.
 ``compose`` multiplies a stack of Jones matrices, the reference that
 ``phase_shifter`` must match bit for bit; ``state_json`` writes a state in
 the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
+``FROZEN_PLATFORM`` names the platform the frozen outputs were taken on, and
+``frozen_on()`` says it next to this run's ``platform_key()`` when one fails.
 ``NEGATIVE_AMPLITUDE_THETAS`` and ``NEGATIVE_AMPLITUDE_COUNTS`` pin a count
 scan whose fit ends with a negative amplitude.  ``reference_fit_v2`` is the
 fringe fit of fit_version 2 (``lstsq`` start, ``pinv`` covariance), which the
@@ -35,6 +37,29 @@ from sagnacsim.analysis import (
     STEP_REL_TOL,
     TWO_PI,
 )
+
+# The platform the frozen outputs were taken on (FROZEN_SHA256,
+# FROZEN_SAMPLED_PATH_SHA256 and FROZEN_STDOUT): their bytes move by about one
+# ulp with the SIMD kernels numpy dispatches for float64 sin, cos and exp.
+FROZEN_PLATFORM = "numpy 2.4.6, float64 sin/cos/exp at X86_V4/X86_V4/X86_V4"
+
+
+def platform_key() -> str:
+    """The numpy version and the dispatch target of float64 sin, cos and exp (numpy >= 2.0)."""
+    key = f"numpy {np.__version__}"
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0 does not say which kernels it runs
+        return key
+    info = opt_func_info(func_name="^(sin|cos|exp)$")  # "dd": float64 in, float64 out
+    return f"{key}, float64 sin/cos/exp at " + "/".join(info[name]["dd"]["current"]
+                                                       for name in ("sin", "cos", "exp"))
+
+
+def frozen_on() -> str:
+    """Message of a frozen-output assertion: the platform it was frozen on and this one."""
+    return f"frozen on {FROZEN_PLATFORM}; this run is on {platform_key()}"
+
 
 # Bernoulli counts on a short irregular grid, in radians, found by a seeded
 # search: the fit ends with c0 = -0.198, so a raw visibility of -4.42

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import sagnacsim
-from _helpers import NEGATIVE_AMPLITUDE_COUNTS, NEGATIVE_AMPLITUDE_THETAS, state_json
+from _helpers import (
+    FROZEN_PLATFORM,
+    NEGATIVE_AMPLITUDE_COUNTS,
+    NEGATIVE_AMPLITUDE_THETAS,
+    frozen_on,
+    platform_key,
+    state_json,
+)
 from sagnacsim import CampaignSpec, make_antisymmetric_mes
 from sagnacsim.cli import main
 
@@ -553,7 +560,7 @@ class TestCampaign:
             for fit in fits[1:]:
                 update("fits", *sagnacsim.phase_shift(fits[0], fit))
         assert ({name: digest.hexdigest() for name, digest in digests.items()}
-                == self.FROZEN_SAMPLED_PATH_SHA256)
+                == self.FROZEN_SAMPLED_PATH_SHA256), frozen_on()
 
     # a d = 3 loop given as breakpoints, not the built-in closed form; it ends in class 1
     SCHEDULE = {"dim": 3, "breakpoints": [[0.0, [0.0, 0.0, 0.0]], [0.5, [90.0, 30.0, -120.0]],
@@ -572,14 +579,14 @@ class TestCampaign:
     ])
     def test_output_bytes_frozen(self, tmp_path, name, fields):
         assert run_cli("campaign", self.write_spec(tmp_path, **fields)) == 0
-        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256[name]
+        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256[name], frozen_on()
 
     def test_schedule_file_output_bytes_frozen(self, tmp_path):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps(self.SCHEDULE))
         path = self.write_spec(tmp_path, dims=[3], t_values=[0, 0.5, 1], schedule_file=str(sched))
         assert run_cli("campaign", path) == 0
-        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256["schedule-file"]
+        assert self.digests(tmp_path / "out") == self.FROZEN_SHA256["schedule-file"], frozen_on()
 
     def test_fit_ref_reports_frozen(self, tmp_path):
         assert run_cli("campaign", self.write_spec(tmp_path, t_values=[0, 0.5, 1])) == 0
@@ -588,7 +595,15 @@ class TestCampaign:
         for d in (2, 3, 4):
             assert run_cli("fit", out / f"scan_d{d}_t1.csv", "--ref", out / f"scan_d{d}_t0.csv",
                            "--out", reports / f"fit_ref_d{d}.json") == 0
-        assert self.digests(reports) == self.FROZEN_SHA256["fit-ref"]
+        assert self.digests(reports) == self.FROZEN_SHA256["fit-ref"], frozen_on()
+
+    def test_frozen_failure_names_both_platforms(self):
+        # the message is built only when a frozen test fails, so build it here
+        frozen, here = frozen_on().removeprefix("frozen on ").split("; this run is on ")
+        assert frozen == FROZEN_PLATFORM
+        assert here == platform_key() and here.startswith(f"numpy {np.__version__}")
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert len(here.split(", float64 sin/cos/exp at ")[1].split("/")) == 3
 
     def test_empty_t_values_rejected(self, tmp_path, capsys):
         path = self.write_spec(tmp_path, t_values=[])

@@ -161,3 +161,11 @@ class TestRelativePhase:
         with pytest.raises(NonDiagonalError):
             relative_phase(hwp(np.pi / 8))
 
+    @pytest.mark.parametrize("theta", [np.pi / 2, np.pi])
+    def test_full_turn_folds_below_two_pi(self, theta):
+        # 4 theta is a whole number of turns, so the phase is 0 up to rounding; a tiny
+        # negative difference must fold to 0, not round up to 2 pi
+        phases = [relative_phase(phase_shifter(phi, theta))
+                  for phi in np.linspace(0.0, np.pi, 2001)]
+        assert all(0.0 <= rp < 2.0 * np.pi for rp in phases)
+        assert relative_phase(phase_shifter(np.pi / 2000, theta)) == 0.0

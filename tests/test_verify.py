@@ -10,6 +10,7 @@ import pytest
 
 import sagnacsim
 import sagnacsim.sagnac
+from _helpers import frozen_on
 from sagnacsim import PhaseSchedule, jones, make_antisymmetric_mes, run_verification, verify
 from sagnacsim.cli import main
 
@@ -82,7 +83,7 @@ FROZEN_STDOUT = {
 @pytest.mark.parametrize("seed", sorted(FROZEN_STDOUT))
 def test_verify_stdout_frozen(seed, capsys):
     assert run_cli("verify", "--trials", 2000, "--seed", seed) == 0
-    assert capsys.readouterr().out == FROZEN_STDOUT[seed]
+    assert capsys.readouterr().out == FROZEN_STDOUT[seed], frozen_on()
 
 
 def test_verify_state_stdout_frozen(tmp_path, capsys):
@@ -96,7 +97,7 @@ def test_verify_state_stdout_frozen(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
         "[PASS] mes-reduction: 2000 trials, max |diff| = 8.882e-16\n" + TAIL
-    )
+    ), frozen_on()
 
 
 # Faults that first fire in the second block of trials, at the trial index and
