@@ -68,8 +68,11 @@ MUTANTS = [
     ("analysis.py", "if vis < 0.0:", "if False:", "caught", "negative visibility kept"),
     ("analysis.py", "if freq < 0.0:", "if freq < -1.0:", "caught", "frequency in (-1, 0) kept"),
     ("analysis.py", "MAX_HALVINGS = 8", "MAX_HALVINGS = 2", "caught", "two step halvings"),
-    ("analysis.py", "return math.nan, math.nan, math.nan, math.nan", "raise", "caught",
-     "singular normal matrix"),
+    ("analysis.py", "if decrement <= DECREMENT_TOL * rss + floor:",
+     "if decrement <= 1e-6 * rss + floor:", "caught", "decrement tolerance 1e-6"),
+    ("analysis.py", "DECREMENT_FLOOR * float(y @ y)", "0.0", "caught",
+     "no rounding floor: exact data steps on rounding noise"),
+    ("analysis.py", "return (math.nan,) * 5", "raise", "caught", "singular normal matrix"),
     ("analysis.py", "except (ValueError, ZeroDivisionError):", "except ZeroDivisionError:",
      "caught", "indefinite normal matrix raises out of the step"),
     ("analysis.py", "except (ValueError, ZeroDivisionError) as exc:",

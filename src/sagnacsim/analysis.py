@@ -21,16 +21,16 @@ from .sagnac import FringeScan
 from .schedule import PhaseSchedule
 
 MIN_VISIBILITY = 0.05
-RSS_REL_TOL = 1e-10
-STEP_REL_TOL = 1e-15
+DECREMENT_TOL = 1e-10
+DECREMENT_FLOOR = 1e-28  # of y.y, ~2e3 eps^2: exact data's RSS is rounding noise, ~eps^2 y.y
 MAX_ITERATIONS = 200
 MAX_HALVINGS = 8
 NOMINAL_FREQUENCY = 4.0
 MIN_POINTS = 8
 MIN_SPAN = np.pi / 2.0  # one fringe period at the nominal frequency a = 4
-# fit algorithm of fit JSON and summary.json; 4 = variable projection solved by a Cholesky
-# factor in Python floats, phase in [0, 2*pi)
-FIT_VERSION = 4
+# fit algorithm of fit JSON and summary.json; 5 = variable projection solved by a Cholesky
+# factor in Python floats, phase in [0, 2*pi), one stop rule on the Gauss-Newton decrement
+FIT_VERSION = 5
 
 
 def fold_angle(x: float) -> float:
@@ -120,16 +120,17 @@ def _cholesky(normal: list) -> tuple:
     return l00, l10, l11, l20, l21, l22, l30, l31, l32, l33, z0, z1, z2, z3
 
 
-def _solve(normal: list) -> tuple[float, float, float, float]:
-    """The solution s of N s = b by back substitution, or NaN where N is not positive definite."""
+def _solve(normal: list) -> tuple[float, float, float, float, float]:
+    """s in N s = b by back substitution and b.s = z.z, or NaN where N is not positive definite."""
     try:
         l00, l10, l11, l20, l21, l22, l30, l31, l32, l33, z0, z1, z2, z3 = _cholesky(normal)
     except (ValueError, ZeroDivisionError):
-        return math.nan, math.nan, math.nan, math.nan
+        return (math.nan,) * 5
     s3 = z3 / l33
     s2 = (z2 - l32 * s3) / l22
     s1 = (z1 - l21 * s2 - l31 * s3) / l11
-    return (z0 - l10 * s1 - l20 * s2 - l30 * s3) / l00, s1, s2, s3
+    return ((z0 - l10 * s1 - l20 * s2 - l30 * s3) / l00, s1, s2, s3,
+            z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3)
 
 
 def _inverse_factor(normal: list) -> tuple:
@@ -165,17 +166,17 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
     least-squares solve at a = 4, by its normal equations, which leaves no
     wrong phase basin to fall into; angles that resolve no fringe there raise
-    ``FitError``.  Gauss-Newton in (c0, c1, c2, a) then
-    refines all four, halving a step that does not lower the residual sum of
-    squares (RSS) at most ``MAX_HALVINGS`` times; each solve is a Cholesky
-    factor of the normal matrix N in Python floats.  The loop stops on a relative
-    RSS change below ``RSS_REL_TOL`` ("converged"), a relative step at the
-    floating-point floor ("step"), no halving that lowers the RSS or an N that is
-    not positive definite ("stalled"), or after ``MAX_ITERATIONS``
-    ("max-iterations").  The covariance of (A, v, a, b) is G N^-1 G^T times
-    RSS / (n - 4), G = d(A, v, a, b) / d(c0, c1, c2, a); a singular one (v = 0
-    or A = 0) raises ``FitError``.  Flat data short-circuits to v = 0 with the
-    phase flagged undefined ("flat").
+    ``FitError``.  Gauss-Newton in (c0, c1, c2, a) then refines all four, halving a
+    step that does not lower the residual sum of squares (RSS) at most ``MAX_HALVINGS``
+    times; each solve is a Cholesky factor N = L L^T in Python floats.  Before each step
+    the loop stops on a Gauss-Newton decrement z.z = r^T J N^-1 J^T r (z = L^-1 J^T r; the
+    RSS a full step removes in the linear model; Dennis & Schnabel (1983), sec. 7.2) at
+    most ``DECREMENT_TOL`` RSS + ``DECREMENT_FLOOR`` y.y ("converged": exact data stops at
+    the linear start), on an N that is not positive definite or no halving that lowers the
+    RSS ("stalled"), or after ``MAX_ITERATIONS`` steps ("max-iterations").  The
+    covariance of (A, v, a, b) is G N^-1 G^T times RSS / (n - 4), G = d(A, v, a, b) /
+    d(c0, c1, c2, a); a singular one (v = 0 or A = 0) raises ``FitError``.  Flat data
+    short-circuits to v = 0 with the phase flagged undefined ("flat").
     """
     theta = scan.thetas
     y = scan.values.astype(float)
@@ -220,19 +221,20 @@ def fit_fringe(scan: FringeScan) -> FitResult:
     if det <= 1e-12 * ((n00 + n11 + n22) / 3.0) ** 3:
         raise FitError("the scan's angles resolve no fringe at a = 4")
     row_a[3] = 1.0  # a unit a-row holds a at 4, so this is the 3x3 solve in the 4x4 factor
-    c0, c1, c2, _ = _solve(normal)
+    c0, c1, c2 = _solve(normal)[:3]
     np.subtract(resid, linear(c0, c1, c2), out=resid)
-    rss = float(resid @ resid)
+    rss, floor = float(resid @ resid), DECREMENT_FLOOR * float(y @ y)
     normal = normal_at(c1, c2)
     freq, termination = NOMINAL_FREQUENCY, "max-iterations"
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        s0, s1, s2, s3 = _solve(normal)
-        step_sq = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3
-        if not math.isfinite(step_sq):  # a normal matrix not positive definite, or not finite
+    for iterations in range(MAX_ITERATIONS + 1):  # the steps taken so far
+        s0, s1, s2, s3, decrement = _solve(normal)
+        if not math.isfinite(decrement):  # a normal matrix not positive definite, or not finite
             termination = "stalled"
             break
-        if step_sq <= STEP_REL_TOL**2 * (c0 * c0 + c1 * c1 + c2 * c2 + freq * freq):
-            termination = "step"
+        if decrement <= DECREMENT_TOL * rss + floor:
+            termination = "converged"
+            break
+        if iterations == MAX_ITERATIONS:
             break
         h = 1.0  # the step's scale: halving a power of two rounds nothing
         for _ in range(MAX_HALVINGS):
@@ -247,11 +249,8 @@ def fit_fringe(scan: FringeScan) -> FitResult:
         else:  # the rows hold the last trial, but normal is still the optimum's
             termination = "stalled"
             break
-        c0, c1, c2, freq, rss_prev, rss = t0, t1, t2, t3, rss, rss_try
+        c0, c1, c2, freq, rss = t0, t1, t2, t3, rss_try
         normal = normal_at(c1, c2)
-        if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
-            termination = "converged"
-            break
 
     amp, phase, sign = c0, math.atan2(c2, -c1), 1.0
     vis = math.hypot(c1, c2) / c0 if c0 else math.inf  # A = 0 leaves the matrix singular

@@ -16,9 +16,9 @@ the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
 ``FROZEN_PLATFORM`` names the platform the frozen outputs were taken on, and
 ``frozen_on()`` says it next to this run's ``platform_key()`` when one fails.
 ``NEGATIVE_AMPLITUDE_THETAS`` and ``NEGATIVE_AMPLITUDE_COUNTS`` pin a count
-scan whose fit ends with a negative amplitude.  ``reference_fit_v2`` is the
-fringe fit of fit_version 2 (``lstsq`` start, ``pinv`` covariance), which the
-current fit must agree with scan by scan.
+scan whose fit ends with a negative amplitude.  ``reference_fit`` is the
+fringe fit in plain numpy (``lstsq`` start, ``solve`` steps, ``pinv``
+covariance), which the package's fit must agree with scan by scan.
 """
 
 import math
@@ -33,8 +33,6 @@ from sagnacsim.analysis import (
     MIN_POINTS,
     MIN_SPAN,
     NOMINAL_FREQUENCY,
-    RSS_REL_TOL,
-    STEP_REL_TOL,
     TWO_PI,
 )
 
@@ -205,25 +203,25 @@ def _canonicalize(p: np.ndarray) -> np.ndarray:
     return np.array([amp, vis, freq, np.mod(phase, TWO_PI)])
 
 
-def reference_fit_v2(scan: FringeScan) -> FitResult:
-    """``fit_fringe`` as of fit_version 2, kept verbatim as the reference.
+def reference_fit(scan: FringeScan) -> FitResult:
+    """The fringe fit in plain numpy, the reference ``fit_fringe`` must agree with.
 
     Variable-projection Gauss-Newton fit of the four-parameter fringe model.
 
     With the frequency a fixed the model is linear: c0 + c1 cos(a theta) +
     c2 sin(a theta), with (c0, c1, c2) = (A, -A v cos b, A v sin b) (Golub &
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The start is that linear
-    least-squares solve at a = 4, which leaves no wrong phase basin to fall
-    into.  Gauss-Newton in (c0, c1, c2, a) then refines all four, halving a
-    step that does not lower the residual sum of squares (RSS) at most
-    ``MAX_HALVINGS`` times.  The loop stops when the relative RSS change drops
-    below ``RSS_REL_TOL`` ("converged"), when the relative step reaches the
-    floating-point floor ("step"), when no halving lowers the RSS or the
-    normal matrix is singular ("stalled"), or after ``MAX_ITERATIONS``
-    ("max-iterations").  The covariance is the inverse Gauss-Newton normal
-    matrix of (A, v, a, b) at the optimum scaled by the residual variance;
-    flat data short-circuits to v = 0 with the phase flagged undefined
-    ("flat").
+    least-squares solve at a = 4 by ``lstsq``, which leaves no wrong phase basin
+    to fall into.  Gauss-Newton in (c0, c1, c2, a) then refines all four by
+    ``solve``, halving a step that does not lower the residual sum of squares
+    (RSS) at most ``MAX_HALVINGS`` times.  Before each step the loop stops when
+    the Gauss-Newton decrement step . J^T r is at most 1e-10 RSS + 1e-28 y.y
+    ("converged"), when no halving lowers the RSS or the normal matrix is
+    singular ("stalled"), or after ``MAX_ITERATIONS`` steps ("max-iterations").
+    The covariance is the pseudo-inverse Gauss-Newton normal matrix of
+    (A, v, a, b) at the optimum, from ``pinv`` of the Jacobian, scaled by the
+    residual variance; flat data short-circuits to v = 0 with the phase
+    flagged undefined ("flat").
     """
     theta = scan.thetas
     y = scan.values.astype(float)
@@ -249,18 +247,21 @@ def reference_fit_v2(scan: FringeScan) -> FitResult:
     r = y - basis @ p[:3]
     rss = float(r @ r)
     termination = "max-iterations"
-    for iterations in range(1, MAX_ITERATIONS + 1):
+    for iterations in range(MAX_ITERATIONS + 1):
         jac[:, 3] = theta * (p[2] * jac[:, 1] - p[1] * jac[:, 2])
+        gradient = jac.T @ r
         try:
-            step = np.linalg.solve(jac.T @ jac, jac.T @ r)
-            step_sq = float(step @ step)
+            step = np.linalg.solve(jac.T @ jac, gradient)
+            decrement = float(step @ gradient)
         except np.linalg.LinAlgError:
-            step_sq = math.nan
-        if not math.isfinite(step_sq):  # a singular or non-finite normal matrix
+            decrement = math.nan
+        if not math.isfinite(decrement):  # a singular or non-finite normal matrix
             termination = "stalled"
             break
-        if step_sq <= STEP_REL_TOL**2 * float(p @ p):
-            termination = "step"
+        if decrement <= 1e-10 * rss + 1e-28 * float(y @ y):
+            termination = "converged"
+            break
+        if iterations == MAX_ITERATIONS:
             break
         for _ in range(MAX_HALVINGS):
             p_try = p + step
@@ -273,17 +274,16 @@ def reference_fit_v2(scan: FringeScan) -> FitResult:
         else:
             termination = "stalled"
             break
-        p, r, rss_prev, rss = p_try, r_try, rss, rss_try
+        p, r, rss = p_try, r_try, rss_try
         jac[:, 1], jac[:, 2] = cos_try, sin_try
-        if (rss_prev - rss) / rss_prev < RSS_REL_TOL:
-            termination = "converged"
-            break
 
     c0, c1, c2, freq = p
     p = _canonicalize(np.array([c0, np.hypot(c1, c2) / c0, freq, np.arctan2(c2, -c1)]))
-    jac = _jacobian(theta, p)
+    # (J^T J)^+ = J^+ J^+T: forming J^T J squares cond(J), and the amplitude's column
+    # scale puts cond(J^T J) near 1e14 on short high-count scans
+    jac_pinv = np.linalg.pinv(_jacobian(theta, p))
     dof = max(n - 4, 1)
     resid_var = float(np.sum((y - _model(theta, p)) ** 2)) / dof
-    cov = np.linalg.pinv(jac.T @ jac) * resid_var
+    cov = jac_pinv @ jac_pinv.T * resid_var
     return FitResult(float(p[0]), float(p[1]), float(p[2]), float(p[3]), cov, rss, n,
                      iterations=iterations, termination=termination)

@@ -285,7 +285,7 @@ class TestFit:
         shift = report["shift"]["shift_deg"]
         sigma = report["shift"]["sigma_deg"]
         # frozen reference-run value, plus the statistical contract
-        assert shift == pytest.approx(168.355229135644, abs=1e-6)
+        assert shift == pytest.approx(168.355267867522, abs=1e-6)
         assert abs(shift - 180.0) <= 3.0 * sigma
 
     def test_flat_operand_rejected(self, tmp_path, capsys):
@@ -354,8 +354,8 @@ class TestFit:
         assert run_cli("fit", op) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"fit"}
-        assert report["fit"]["fit_version"] == 4
-        assert report["fit"]["termination"] in ("step", "converged")
+        assert report["fit"]["fit_version"] == 5
+        assert report["fit"]["termination"] == "converged"
         assert "ref_fit" in json.loads((tmp_path / "with_ref.json").read_text())
 
     def test_angles_on_two_fringe_points_exit_1(self, tmp_path, capsys):
@@ -413,8 +413,8 @@ class TestCampaign:
                 assert (out_dir / f"scan_d{d}_t{t}.csv").exists()
                 assert (out_dir / f"scan_d{d}_t{t}.json").exists()
                 assert (out_dir / f"fit_d{d}_t{t}.json").exists()
-        assert summary["fit_version"] == 4
-        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 4
+        assert summary["fit_version"] == 5
+        assert json.loads((out_dir / "fit_d3_t1.json").read_text())["fit_version"] == 5
         # SVG must be well-formed XML with drawable content
         svg = ET.parse(out_dir / "campaign.svg").getroot()
         assert svg.tag.endswith("svg")
@@ -425,7 +425,7 @@ class TestCampaign:
         assert run_cli("campaign", path) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         entry = summary["results"][0]
-        assert entry["shift_deg"] == pytest.approx(122.322121970394, abs=1e-6)
+        assert entry["shift_deg"] == pytest.approx(122.322310783304, abs=1e-6)
         assert abs(entry["shift_deg"] - 120.0) <= 3.0 * entry["sigma_deg"]
 
     # sha256 of every output file: "exact" and "sampled" as written by the csv-module scan
@@ -434,12 +434,12 @@ class TestCampaign:
     FROZEN_SHA256 = {
         "exact": {
             "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
-            "fit_d2_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
-            "fit_d2_t0.json": "fae50e2bdedcfb55d168da6c0b63df845c7e590a195dd0b16bf90e7672817f5a",
-            "fit_d2_t1.json": "d2bceda54751bac92407817dfd79f5806c93e662c11575fd2eedaf6b1b507d87",
-            "fit_d3_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
-            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
-            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
+            "fit_d2_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
+            "fit_d2_t0.json": "615aac25f852733587d01ec61588ac516ef1a251cc90a2fdad47fb7c9677fb86",
+            "fit_d2_t1.json": "8afcc5f8511aa79937d78d83e7c1728129b6e65912d7855ba59e57cba8cdb9b4",
+            "fit_d3_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
+            "fit_d3_t0.json": "64a09e5747bc6106b31275fb8842239652534f878057d55694e63e3104c4a9bc",
+            "fit_d3_t1.json": "be8d42eb34413c269969fcc810b01816b6bc6bb561aed006674c85fb9833023b",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -452,32 +452,32 @@ class TestCampaign:
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "1ac5b15f084e7dace50dc51d0061f491550f718251b692253f7b4b70c457c364",
+            "summary.json": "0b04ad880bcaf0167b487943e12a192f4aa45f45aaaf7539b14a9400b12e7d71",
         },
         "sampled": {
             "campaign.svg": "62399dbdb6bb49d0402535cc58534f09cf1e6fb0bd196ece06cc8b8b81517607",
-            "fit_d3_t0.25.json": "aa29ae22c1f332bbeb0a30aa456fcaa230ebb9aa8f56f568a955e238a8a35e2a",
-            "fit_d3_t0.json": "df0dd2b1fcf03f222b77190385ce87fc7c65b1ec176b5c1914b4a5bb502aafa3",
-            "fit_d3_t1.json": "136eb05da8c52c616ded58124689ddbbfd0f4c30228c596ba47255610fb0c569",
+            "fit_d3_t0.25.json": "4d9c88a74e9fa8899e82edd228fab4da74a6d2ed56943e873264c56528efddef",
+            "fit_d3_t0.json": "f5412b7259b316c839f8108cab526f4ae7925a27439ed7c41ae0caf77cc993d4",
+            "fit_d3_t1.json": "3a0f5447819642e47fe69fdcc22dfffc54eec26d6c20c6fa9349b60adb61de4e",
             "scan_d3_t0.25.csv": "3392e90a6ef98708f06a08567a00225d7b1a7cb428dfaaa92c6307a02c02016a",
             "scan_d3_t0.25.json": "de134fb61974195c3456d8e52444a160e258513a59d268b082144382d3eed77e",
             "scan_d3_t0.csv": "a5532a3e2260c7c85c31d2ad3b2e6190954935d8801e81c6e8ec2c219498df6e",
             "scan_d3_t0.json": "918d5a9d0bc302a592bc801244a193ebddfc8dee458958f5cc5652f4f993c7d9",
             "scan_d3_t1.csv": "a6b7ab39d91265150a90ee2367b9178f7d76bbbe5ce6e77677164680792e3e38",
             "scan_d3_t1.json": "b65ab36fb694d0a55566fa8634bc270d4db62e5423d7eee887f5e09fa6b2ee2a",
-            "summary.json": "7ab11fec4cc701c169869055e695080e4a71d3078b14c504d8df9089b03083c1",
+            "summary.json": "f146ee665afdf3c85b41ef6264ed777942d21c038e6792eb216ef53c87a08833",
         },
         "exact-d234": {
             "campaign.svg": "c97e6ddd144f016ea205bb9b308042ee395b96b60684cab11a48e124456f72b4",
-            "fit_d2_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
-            "fit_d2_t0.json": "fae50e2bdedcfb55d168da6c0b63df845c7e590a195dd0b16bf90e7672817f5a",
-            "fit_d2_t1.json": "d2bceda54751bac92407817dfd79f5806c93e662c11575fd2eedaf6b1b507d87",
-            "fit_d3_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
-            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
-            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
-            "fit_d4_t0.5.json": "82971947c578dd90f5d5c12e6899841e328c0df96c498ef06a513fd9066ac190",
-            "fit_d4_t0.json": "8c0e3176fa01b0d86ee167ce1d757e7d754711c0e977fea18719a18c4c7c5532",
-            "fit_d4_t1.json": "f816699be3ecabf885002dac68527db47b07a4cc116f52bb7d0d9a51363ab2a8",
+            "fit_d2_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
+            "fit_d2_t0.json": "615aac25f852733587d01ec61588ac516ef1a251cc90a2fdad47fb7c9677fb86",
+            "fit_d2_t1.json": "8afcc5f8511aa79937d78d83e7c1728129b6e65912d7855ba59e57cba8cdb9b4",
+            "fit_d3_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
+            "fit_d3_t0.json": "64a09e5747bc6106b31275fb8842239652534f878057d55694e63e3104c4a9bc",
+            "fit_d3_t1.json": "be8d42eb34413c269969fcc810b01816b6bc6bb561aed006674c85fb9833023b",
+            "fit_d4_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
+            "fit_d4_t0.json": "d502f49b1cdc9d6273b68875400e16b3ab69072ab3afff07d65ad7246c2d3f59",
+            "fit_d4_t1.json": "d0641c20bc979605ffc86ea72b3c2fc21b6ceb060e3355a25164eee68e073b77",
             "scan_d2_t0.5.csv": "3ea4eabb8dd2b0f7073477162483067d327d75a0bc81c3ed672b10e106a67c78",
             "scan_d2_t0.5.json": "9a717becced985e8633c55f705bbc3b5b72bd86cae71a527ed021148ac3594ce",
             "scan_d2_t0.csv": "9c54e2850b8c9d57e1998a72ce401dd521050d1589abb161a1d1392e92be517f",
@@ -496,25 +496,25 @@ class TestCampaign:
             "scan_d4_t0.json": "852930196bfc1b955af82885982edd0b0713d5dae27f72b4696824e386155d62",
             "scan_d4_t1.csv": "4a673ae8d7c688171ee837886888cb6439d8a3639846567d18488ad729c238a8",
             "scan_d4_t1.json": "9f0d7cf49b8583ae934fb48e60f4bff58fcb222ade9eed7e344254527176e97f",
-            "summary.json": "20712bd1202e4079c39788cc3819f9e1252d5a6515728237c9c025e89c3a5cb5",
+            "summary.json": "7ca9065600a1a24ea60868718eaf5901d92eff5f237413f0ca8aa321f0d7cba0",
         },
         "fit-ref": {
-            "fit_ref_d2.json": "0017818d8af4220384834ca4740ea035237ab0d9b9b8476684c7c8e98d1bb139",
-            "fit_ref_d3.json": "c6d2d8207bbe7ab45b56bbbd8653f2624afdcc36f8f83bac630f72f66cfa2183",
-            "fit_ref_d4.json": "89e1369442960a7c91d571e1136703094032695bc48322f0339eb42f3ea9d0a5",
+            "fit_ref_d2.json": "ec700abac0aaf6976553b716c0dc77207af998ebf1e715fee5640f7999ed95bf",
+            "fit_ref_d3.json": "8e18a79368fe268b052adcbacc4fa10c641ce5ed29f448446a5283b7aa0fc564",
+            "fit_ref_d4.json": "a00d4a73bce159239850159592caa260b503c7a7341796e6725005d4ca3a6fb8",
         },
         "schedule-file": {
             "campaign.svg": "13f9b7fbe5a5f1db29b66cf333b3b1f4849a8c3c658bdb77e69d838f70cf2bb9",
-            "fit_d3_t0.5.json": "0c4cf34b9235a83b7e74852e7eec3e5038c4668909bfa948d9268d41c8effc86",
-            "fit_d3_t0.json": "e5bdd7f8eb25ea0852e6b93c345f601e7545edcd314acaa4eede48880901db05",
-            "fit_d3_t1.json": "c5d3c6fd8b93ae5fd9821766e64bb59609919a76df303988150a1b3f3855ff8a",
+            "fit_d3_t0.5.json": "3f6e518e710c333385ce68c6855c540dab193b6dadf9146fd36d395684bd00ea",
+            "fit_d3_t0.json": "64a09e5747bc6106b31275fb8842239652534f878057d55694e63e3104c4a9bc",
+            "fit_d3_t1.json": "be8d42eb34413c269969fcc810b01816b6bc6bb561aed006674c85fb9833023b",
             "scan_d3_t0.5.csv": "76d61f1038f4aa8d0f15b77d8ad6551f76c7014a4386ecbba098b81b6dc785dd",
             "scan_d3_t0.5.json": "a128c4f1c5a8f4fc4597bee989ddcee040487553e2a4ac770eeb318103c2b980",
             "scan_d3_t0.csv": "177f0d3f4a73f929d9ce34a14536273d58cb86cb815eb2a3d76203fcf8434c1e",
             "scan_d3_t0.json": "24675b79825f3b67bed2d57ac7f0e856b877054e0b7756f77990606098c5792a",
             "scan_d3_t1.csv": "8ef9494454c8dc8e8d63157720025c1f12564ecc13e7f030a747d4c8f3c66860",
             "scan_d3_t1.json": "eda143a0251a60a31088d743a91fe397699a5f242915951599914dfc2636a9e2",
-            "summary.json": "83af97756df90994a831bd9c57fb45a1ae5fb314474167aaaa4da04daa9f8258",
+            "summary.json": "9f3c638f86ee0fdb132814515bb94780a330563f2c4f6c06cd93c1c696a02318",
         },
     }
 
@@ -522,7 +522,7 @@ class TestCampaign:
     # the scan values apart from the fits and shifts, so a fit change shows it moved no count
     FROZEN_SAMPLED_PATH_SHA256 = {
         "scans": "a7de15559be9cd105104bd57345cbf108e1e3ba0f20b2b1c7c6f278ff4866bd8",
-        "fits": "58814b3c0b86ac5723a53f87901e7c1d975057539f5abf4e33c9f5d6903076aa",
+        "fits": "e7903915ffd860405a771ebf307f90845ee1ad6e5a0fdb5caef0f74f4829b193",
     }
 
     def test_sampled_path_numbers_frozen(self):
