@@ -37,8 +37,9 @@ from sagnacsim.analysis import (
 )
 
 # The platform the frozen outputs were taken on (FROZEN_SHA256,
-# FROZEN_SAMPLED_PATH_SHA256 and FROZEN_STDOUT): their bytes move by about one
-# ulp with the SIMD kernels numpy dispatches for float64 sin, cos and exp.
+# FROZEN_SAMPLED_PATH_SHA256, FROZEN_KINEMATIC_SHA256 and FROZEN_STDOUT): their
+# bytes move by about one ulp with the SIMD kernels numpy dispatches for float64
+# sin, cos and exp.
 FROZEN_PLATFORM = "numpy 2.4.6, float64 sin/cos/exp at X86_V4/X86_V4/X86_V4"
 
 

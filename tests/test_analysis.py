@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from _helpers import (
     DiagonalPhaseOp,
     apply_signal_phases,
     circular_diff,
+    frozen_on,
     inner_product,
     reference_fit,
 )
@@ -563,6 +565,26 @@ def reference_kinematic(state, schedule, steps):
 
 
 class TestKinematicReference:
+    @staticmethod
+    def random_loop():
+        """A random d = 5 state on a random traceless custom schedule."""
+        rng = np.random.default_rng(31)
+        d = 5
+        amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        state = BipartiteQuditState(d, amps / np.linalg.norm(amps))
+        rows = [np.zeros(d)]
+        for _ in range(3):
+            row = rng.uniform(-np.pi, np.pi, d)
+            rows.append(row - row.mean())
+        return state, PhaseSchedule(d, "custom", times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
+
+    @staticmethod
+    def curved_loop():
+        """A random d = 3 state on the built-in loop run at t^2."""
+        rng = np.random.default_rng(37)
+        amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        return BipartiteQuditState(3, amps / np.linalg.norm(amps)), Squared(builtin_schedule(3))
+
     def assert_matches_reference(self, state, sched, steps):
         kin = kinematic_phase(state, sched, steps)
         total, dynamical, geometric = reference_kinematic(state, sched, steps)
@@ -578,24 +600,33 @@ class TestKinematicReference:
 
     @pytest.mark.parametrize("steps", [1000, 1001])
     def test_random_state_custom_schedule(self, steps):
-        rng = np.random.default_rng(31)
-        d = 5
-        amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        state = BipartiteQuditState(d, amps / np.linalg.norm(amps))
-        rows = [np.zeros(d)]
-        for _ in range(3):
-            row = rng.uniform(-np.pi, np.pi, d)
-            rows.append(row - row.mean())
-        sched = PhaseSchedule(d, "custom", times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
-        self.assert_matches_reference(state, sched, steps)
+        self.assert_matches_reference(*self.random_loop(), steps)
 
     def test_curved_schedule(self):
         # neighbouring increments differ all along a curved path, so the
         # half-grid chain must pair each increment with the one after it
-        rng = np.random.default_rng(37)
-        amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        state = BipartiteQuditState(3, amps / np.linalg.norm(amps))
-        self.assert_matches_reference(state, Squared(builtin_schedule(3)), 2000)
+        self.assert_matches_reference(*self.curved_loop(), 2000)
+
+    # sha256 of the float64 bytes of (total, dynamical, geometric), loop by loop,
+    # from test_kinematic_numbers_frozen
+    FROZEN_KINEMATIC_SHA256 = "2bb953be9ec410be87a9d6e1295834b4d3fc5bee3f58934a152bff61cb63fd82"
+
+    def test_kinematic_numbers_frozen(self):
+        """The bytes of the kinematic phases: the MES under the d = 2, 3, 4 built-ins at
+        2000, 2001, 10 000 and 20 000 steps, the random d = 5 loop at 1000 and 1001,
+        and the curved d = 3 loop at 2000.  Like the other frozen outputs it holds per
+        platform only: the bytes move by about one ulp with the SIMD kernels numpy
+        dispatches for float64 sin, cos and exp.
+        """
+        loops = [(make_antisymmetric_mes(d), builtin_schedule(d), steps)
+                 for d in (2, 3, 4) for steps in (2000, 2001, 10_000, 20_000)]
+        loops += [(*self.random_loop(), steps) for steps in (1000, 1001)]
+        loops.append((*self.curved_loop(), 2000))
+        digest = hashlib.sha256()
+        for state, sched, steps in loops:
+            kin = kinematic_phase(state, sched, steps)
+            digest.update(np.array([kin.total, kin.dynamical, kin.geometric]).tobytes())
+        assert digest.hexdigest() == self.FROZEN_KINEMATIC_SHA256, frozen_on()
 
 
 class TestClosedLoopConsistency:
