@@ -92,7 +92,7 @@ MUTANTS = [
      "caught", "visibility exactly at the threshold accepted"),
     ("analysis.py", "_wrap(fit_ref.phase - fit_op.phase)", "_wrap(fit_op.phase - fit_ref.phase)",
      "caught", "shift of the wrong sign"),
-    ("analysis.py", "dynamical = (4.0 * dynamical - dyn_coarse) / 3.0", "pass", "caught",
+    ("analysis.py", "dynamical = (4.0 * dynamical - chain(pairs)) / 3.0", "pass", "caught",
      "Richardson step dropped"),
     ("analysis.py", "increments[1::2]", "increments[0::2]", "caught",
      "half-resolution chain squares each even increment"),

@@ -3,7 +3,13 @@
 Simulation of polarization-controlled two-photon interference under
 diagonal SU(d) operations, fringe fitting, and kinematic geometric-phase
 analysis, plus a reproducible campaign CLI.
+
+Importing the package loads the computational core.  The campaign runner
+and the verification suite load on first use of the names that reach them
+(PEP 562), so a process that only scans, fits or chains compiles neither.
 """
+
+from importlib import import_module
 
 from .analysis import (
     FitResult,
@@ -13,7 +19,6 @@ from .analysis import (
     kinematic_phase,
     phase_shift,
 )
-from .campaign import CampaignSpec, load_campaign_spec, run_campaign
 from .errors import (
     ConfigError,
     DegenerateLoopError,
@@ -39,9 +44,16 @@ from .sagnac import (
     write_scan,
 )
 from .schedule import PhaseSchedule, builtin_schedule, check_su, load_schedule
-from .verify import run_verification
 
 __version__ = "0.1.0"
+
+# public name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    "CampaignSpec": "campaign",
+    "load_campaign_spec": "campaign",
+    "run_campaign": "campaign",
+    "run_verification": "verify",
+}
 
 __all__ = [
     "BipartiteQuditState",
@@ -83,3 +95,14 @@ __all__ = [
     "run_verification",
     "write_scan",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return globals().keys() | _LAZY.keys()

@@ -329,19 +329,31 @@ def kinematic_phase(
         raise DegenerateLoopError("endpoints are orthogonal; total phase undefined")
     total = float(np.angle(closing))
 
-    # row j holds exp(i(xi(t_j+1) - xi(t_j))), the factor of <psi_j|psi_j+1>,
-    # built in this one buffer: the sin is taken before the cos overwrites the increment
-    increments = np.empty((steps, state.dim), dtype=complex)
+    # One workspace holds the chain: the factors, the per-step overlaps and their
+    # angles.  A temporary for each would be page-faulted back in on every call
+    # once the allocator has returned the top of the heap to the system.
+    work = np.empty(steps * (2 * state.dim + 3))
+    head = 2 * steps * state.dim
+    # row j holds exp(i(xi(t_j+1) - xi(t_j))), the factor of <psi_j|psi_j+1>:
+    # the sin is taken before the cos overwrites the increment
+    increments = work[:head].view(complex).reshape(steps, state.dim)
+    overlaps = work[head:head + 2 * steps].view(complex)
+    angles = work[head + 2 * steps:]
     np.subtract(xi[1:], xi[:-1], out=increments.real)
     np.sin(increments.real, out=increments.imag)
     np.cos(increments.real, out=increments.real)
-    dynamical = float(np.sum(np.angle(increments @ weights)))
+
+    def chain(factors) -> float:
+        """Sum of arg(factors @ weights); np.angle(z) is arctan2(z.imag, z.real)."""
+        z = np.matmul(factors, weights, out=overlaps[:len(factors)])
+        return float(np.sum(np.arctan2(z.imag, z.real, out=angles[:len(factors)])))
+
+    dynamical = chain(increments)
     if steps % 2 == 0:
         # the nested half-resolution chain, from products of increment pairs,
         # written over the even rows once the fine chain is summed
         pairs = np.multiply(increments[0::2], increments[1::2], out=increments[0::2])
-        dyn_coarse = float(np.sum(np.angle(pairs @ weights)))
-        dynamical = (4.0 * dynamical - dyn_coarse) / 3.0
+        dynamical = (4.0 * dynamical - chain(pairs)) / 3.0
     geometric = fold_angle(total - dynamical)
     return KinematicPhases(total, dynamical, geometric, steps)
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from .analysis import FIT_VERSION, FitResult, fit_fringe, phase_shift
 from .errors import ConfigError, _integral, _items, _optional, _path, _real, load_json_object
-from .plotting import render_campaign_svg
 from .sagnac import (
     DEFAULT_CONTRAST,
     DEFAULT_COUNTS,
@@ -118,6 +117,8 @@ def run_campaign(spec: CampaignSpec) -> dict:
     ``campaign.svg`` and, last, ``summary.json``.  Only a failing write (a
     full disk, say) can leave part of a run behind, and never a new summary.
     """
+    from .plotting import render_campaign_svg  # loaded here, so `simulate` never compiles it
+
     # the shift needs a reference scan and a cyclic one; a single scan does not
     if 0.0 not in spec.t_values or 1.0 not in spec.t_values:
         raise ConfigError("t values must include 0 (reference) and 1 (cyclic)")

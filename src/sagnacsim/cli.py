@@ -3,7 +3,8 @@
 Angle flags and outputs are in degrees; everything internal is radians.
 Exit codes: 0 success, 1 analysis failure (for example low visibility or a
 failed verification), 2 usage or configuration error, 3 internal error (an
-unexpected exception, reported on one line).
+unexpected exception, reported on one line).  A command imports the
+campaign runner or the verification suite only when it runs one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import fit_fringe, phase_shift
-from .campaign import CampaignSpec, _experiment_config, load_campaign_spec, run_campaign
 from .errors import (
     ConfigError,
     DegenerateLoopError,
@@ -39,7 +39,6 @@ from .sagnac import (
     scan_metadata,
     write_scan,
 )
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -101,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .campaign import CampaignSpec, _experiment_config
+
     fields = load_json_object(args.config, "config") if args.config else {}
     fields.update({key: value for key, value in vars(args).items()
                    if value is not None and key not in ("command", "config", "out")})
@@ -146,6 +147,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .campaign import load_campaign_spec, run_campaign
+
     spec = load_campaign_spec(args.spec)
     if args.out is not None:
         spec = dataclasses.replace(spec, out_dir=str(args.out))
@@ -160,6 +163,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     _natural(args.seed, "--seed")

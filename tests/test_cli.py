@@ -697,7 +697,7 @@ class TestCampaign:
         assert self.tree_digest(tmp_path / "out") == before
 
     def test_render_failure_leaves_outputs_unchanged(self, tmp_path, monkeypatch, capsys):
-        import sagnacsim.campaign as campaign_mod
+        import sagnacsim.plotting as plotting_mod  # run_campaign imports the renderer per run
 
         path = self.write_spec(tmp_path, dims=[2, 3])
         assert run_cli("campaign", path) == 0
@@ -706,7 +706,7 @@ class TestCampaign:
         def broken(panels, results):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(campaign_mod, "render_campaign_svg", broken)
+        monkeypatch.setattr(plotting_mod, "render_campaign_svg", broken)
         assert run_cli("campaign", path) == 3
         assert capsys.readouterr().err.endswith("RuntimeError: boom\n")
         assert self.tree_digest(tmp_path / "out") == before
