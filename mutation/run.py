@@ -46,6 +46,10 @@ MUTANTS = [
      "every h-term carries a factor 2t - 1 or 1 - 2t, which is 0 at t = 0.5"),
     ("schedule.py", "check_su(schedule) and", "True and", "caught",
      "schedule file checked only at its breakpoint rows"),
+    ("schedule.py", "round(schedule.dim * xi[0] / TWO_PI) % schedule.dim",
+     "round(schedule.dim * xi[0] / TWO_PI)", "caught", "sector not reduced mod d"),
+    ("schedule.py", "phasors[0])) <= SU_TOL", "phasors[0])) <= 1e-6", "caught",
+     "endpoints 2e-12 apart read as cyclic"),
     ("sagnac.py", "grid = np.array(self.theta_grid, dtype=float)",
      "grid = np.asarray(self.theta_grid, dtype=float)", "caught",
      "config freezes the caller's theta grid"),
@@ -112,8 +116,9 @@ MUTANTS = [
      "shift and geometric phase compared off the circle"),
     ("verify.py", "if not check_su(sched):", "if False:", "caught",
      "built-in schedule with a nonzero phase sum passes"),
-    ("verify.py", "err = abs(fold_angle(xi_k - 2.0 * np.pi / d))", "err = 0.0", "caught",
-     "built-in schedule ending outside class 1 passes"),
+    ("verify.py", "if (n := expected_shift(sched)[1]) != 1:",
+     "if (n := expected_shift(sched)[1]) is None:", "caught",
+     "built-in schedule ending cyclic in sector 2 passes"),
     ("plotting.py", "if fit.b_defined:", "if True:", "caught",
      "fitted curve drawn through a flat fit"),
 ]

@@ -22,7 +22,7 @@ from .sagnac import (
     scan_metadata,
     write_scan,
 )
-from .schedule import builtin_schedule, load_schedule
+from .schedule import builtin_schedule, expected_shift, load_schedule
 
 
 def _checked(check, **default):
@@ -139,7 +139,7 @@ def run_campaign(spec: CampaignSpec) -> dict:
             "dim": d,
             "shift_deg": float(np.rad2deg(shift)),
             "sigma_deg": float(np.rad2deg(sigma)),
-            "theory_deg": 360.0 / d,
+            "theory_deg": expected_shift(cfg.schedule)[0],
         })
         panels.append((f"d = {d} ({spec.mode})", pairs))
     svg = render_campaign_svg(panels, results)

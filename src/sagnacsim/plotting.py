@@ -143,7 +143,7 @@ def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
     for d in dims:
         canvas.line(to_x(d), y0, to_x(d), y0 + 4)
         canvas.text(to_x(d), y0 + 16, str(d), anchor="middle")
-    for val in (0, 90, 180):
+    for val in range(0, 361, 90):
         if val <= 1.15 * top:
             canvas.line(x0 - 4, to_y(val), x0, to_y(val))
             canvas.text(x0 - 7, to_y(val) + 4, str(val), anchor="end")
@@ -161,7 +161,7 @@ def _shift_panel(canvas: _Canvas, ox: float, oy: float, shifts: list[dict]):
             canvas.line(x, to_y(s["shift_deg"] - err), x, to_y(s["shift_deg"] + err),
                         color="#cc2222", width=1.2)
     canvas.text(x1 - 150, y1 + 14, "measured (squares)", color="#cc2222")
-    canvas.text(x1 - 150, y1 + 28, "expected 360/d (circles)", color="#888888")
+    canvas.text(x1 - 150, y1 + 28, "expected (circles)", color="#888888")
 
 
 def render_campaign_svg(panels: list[tuple[str, list[tuple[FringeScan, FitResult]]]],

@@ -20,6 +20,7 @@ from .errors import (
     _real,
     load_json_object,
 )
+from .jones import TWO_PI, _wrap
 
 SU_TOL = 1e-12
 SU_GRID = 1001
@@ -132,6 +133,21 @@ class PhaseSchedule:
 def builtin_schedule(d: int) -> PhaseSchedule:
     """The built-in cyclic schedule for d in {2, 3, 4}."""
     return PhaseSchedule(d, "builtin")
+
+
+def expected_shift(schedule: PhaseSchedule) -> tuple[float, int | None]:
+    """(MES fringe shift in degrees, sector n) of the loop t = 0 -> 1, from xi(1) alone.
+
+    The loop is cyclic when every xi_m(1) is within ``SU_TOL`` of xi_1(1) on the circle;
+    then n = d xi_1(1) / 2 pi mod d and the shift is 360 n / d.  Otherwise n is None and
+    the shift is arg z in [0, 360), z = mean_m exp(i xi_m(1)).
+    """
+    xi = schedule(1.0)
+    phasors = np.exp(1j * xi)
+    if np.all(np.abs(np.angle(phasors / phasors[0])) <= SU_TOL):
+        n = round(schedule.dim * xi[0] / TWO_PI) % schedule.dim
+        return 360.0 * n / schedule.dim, n
+    return float(np.rad2deg(_wrap(np.angle(phasors.mean())))), None
 
 
 def check_su(schedule: PhaseSchedule) -> bool:

@@ -20,7 +20,7 @@ from .sagnac import (
     coincidence_mes,
     generate_scan,
 )
-from .schedule import BUILTIN_DIMS, builtin_schedule, check_su
+from .schedule import BUILTIN_DIMS, builtin_schedule, check_su, expected_shift
 
 ORACLE_TOL = 1e-12
 KINEMATIC_STEPS = 2000
@@ -114,19 +114,13 @@ def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
 
 
 def check_su_schedules() -> CheckResult:
-    """Built-in schedules stay traceless and end congruent to 2*pi/d."""
+    """Built-in schedules stay traceless and end cyclic in sector n = 1."""
     for d in BUILTIN_DIMS:
         sched = builtin_schedule(d)
         if not check_su(sched):
             return CheckResult("su-schedules", False, f"d={d}: phase sum nonzero")
-        final = sched(1.0)
-        for k, xi_k in enumerate(final):
-            err = abs(fold_angle(xi_k - 2.0 * np.pi / d))
-            if not err <= 1e-12:
-                return CheckResult(
-                    "su-schedules", False,
-                    f"d={d}: xi_{k+1}(1) not congruent to 2*pi/{d} (err {err:.3e})",
-                )
+        if (n := expected_shift(sched)[1]) != 1:
+            return CheckResult("su-schedules", False, f"d={d}: loop ends in sector n={n}, not 1")
     return CheckResult("su-schedules", True, f"dims {BUILTIN_DIMS}: traceless, cyclic at t=1")
 
 

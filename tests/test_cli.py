@@ -15,6 +15,7 @@ import pytest
 import sagnacsim
 from _helpers import (
     FROZEN_PLATFORM,
+    circular_diff,
     NEGATIVE_AMPLITUDE_COUNTS,
     NEGATIVE_AMPLITUDE_THETAS,
     frozen_on,
@@ -406,7 +407,7 @@ class TestCampaign:
         assert shifts[3] == pytest.approx(120.0, abs=1e-6)
         assert shifts[4] == pytest.approx(90.0, abs=1e-6)
         for r in summary["results"]:
-            assert r["theory_deg"] == pytest.approx(360.0 / r["dim"])
+            assert r["theory_deg"] == 360.0 / r["dim"]
             assert r["sigma_deg"] < 1e-6
         for d in (2, 3, 4):
             for t in ("0", "0.5", "1"):
@@ -430,10 +431,11 @@ class TestCampaign:
 
     # sha256 of every output file: "exact" and "sampled" as written by the csv-module scan
     # writer and the point-by-point SVG code that came before the column-wise ones, the
-    # other entries as written by the column-wise code
+    # other entries as written by the column-wise code; each campaign.svg with the shift
+    # legend "expected (circles)"
     FROZEN_SHA256 = {
         "exact": {
-            "campaign.svg": "7277ed72d795ef1c4b750cded59a9908601639651cd53b2b640170d38cbf6463",
+            "campaign.svg": "55b976206eabc70e67909f994060ffa7a85080f38faff6e5c1da773c99b4c3d1",
             "fit_d2_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
             "fit_d2_t0.json": "615aac25f852733587d01ec61588ac516ef1a251cc90a2fdad47fb7c9677fb86",
             "fit_d2_t1.json": "8afcc5f8511aa79937d78d83e7c1728129b6e65912d7855ba59e57cba8cdb9b4",
@@ -455,7 +457,7 @@ class TestCampaign:
             "summary.json": "0b04ad880bcaf0167b487943e12a192f4aa45f45aaaf7539b14a9400b12e7d71",
         },
         "sampled": {
-            "campaign.svg": "62399dbdb6bb49d0402535cc58534f09cf1e6fb0bd196ece06cc8b8b81517607",
+            "campaign.svg": "91567deed43bc28213d21caf1235d9898d5534f1c78eced8a0c855b990e75d27",
             "fit_d3_t0.25.json": "4d9c88a74e9fa8899e82edd228fab4da74a6d2ed56943e873264c56528efddef",
             "fit_d3_t0.json": "f5412b7259b316c839f8108cab526f4ae7925a27439ed7c41ae0caf77cc993d4",
             "fit_d3_t1.json": "3a0f5447819642e47fe69fdcc22dfffc54eec26d6c20c6fa9349b60adb61de4e",
@@ -468,7 +470,7 @@ class TestCampaign:
             "summary.json": "f146ee665afdf3c85b41ef6264ed777942d21c038e6792eb216ef53c87a08833",
         },
         "exact-d234": {
-            "campaign.svg": "c97e6ddd144f016ea205bb9b308042ee395b96b60684cab11a48e124456f72b4",
+            "campaign.svg": "cc5aab875f9bbf14975b8eb87ff1e1d1a94b24a994107fde4067d21516de9acf",
             "fit_d2_t0.5.json": "2e658d90304ed32efebe702e5e0f3ae8eab0687580f21c870132de3a903eb0af",
             "fit_d2_t0.json": "615aac25f852733587d01ec61588ac516ef1a251cc90a2fdad47fb7c9677fb86",
             "fit_d2_t1.json": "8afcc5f8511aa79937d78d83e7c1728129b6e65912d7855ba59e57cba8cdb9b4",
@@ -504,7 +506,7 @@ class TestCampaign:
             "fit_ref_d4.json": "a00d4a73bce159239850159592caa260b503c7a7341796e6725005d4ca3a6fb8",
         },
         "schedule-file": {
-            "campaign.svg": "13f9b7fbe5a5f1db29b66cf333b3b1f4849a8c3c658bdb77e69d838f70cf2bb9",
+            "campaign.svg": "b4d6a9e60cdf21ba8085a3aefa56f8573adb871226bb41a00d2385375f7a028b",
             "fit_d3_t0.5.json": "3f6e518e710c333385ce68c6855c540dab193b6dadf9146fd36d395684bd00ea",
             "fit_d3_t0.json": "64a09e5747bc6106b31275fb8842239652534f878057d55694e63e3104c4a9bc",
             "fit_d3_t1.json": "be8d42eb34413c269969fcc810b01816b6bc6bb561aed006674c85fb9833023b",
@@ -587,6 +589,33 @@ class TestCampaign:
         path = self.write_spec(tmp_path, dims=[3], t_values=[0, 0.5, 1], schedule_file=str(sched))
         assert run_cli("campaign", path) == 0
         assert self.digests(tmp_path / "out") == self.FROZEN_SHA256["schedule-file"], frozen_on()
+
+    def run_endpoint(self, tmp_path, capsys, endpoint_deg):
+        """(summary entry, stdout) of a d = 3 exact campaign from 0 to ``endpoint_deg``."""
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"dim": 3, "breakpoints": [[0.0, [0.0, 0.0, 0.0]],
+                                                               [1.0, endpoint_deg]]}))
+        path = self.write_spec(tmp_path, dims=[3], schedule_file=str(sched))
+        assert run_cli("campaign", path) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        return summary["results"][0], capsys.readouterr().out
+
+    def test_expected_shift_in_sector_two(self, tmp_path, capsys):
+        # cyclic, every phase at 240 deg mod 360: sector 2, not the 360/d of sector 1
+        entry, out = self.run_endpoint(tmp_path, capsys, [240.0, 240.0, -480.0])
+        assert entry["theory_deg"] == 240.0
+        assert "(expected 240.0)" in out
+        assert circular_diff(np.deg2rad(entry["shift_deg"]), np.deg2rad(240.0)) < 1e-8
+
+    def test_expected_shift_of_a_loop_that_is_not_cyclic(self, tmp_path, capsys):
+        # z = mean_m exp(i xi_m(1)) = (i + 1 - i) / 3: the fringe shifts by arg z = 0 and
+        # keeps |z| = 1/3 of the contrast
+        entry, out = self.run_endpoint(tmp_path, capsys, [90.0, 0.0, -90.0])
+        assert circular_diff(np.deg2rad(entry["theory_deg"]), 0.0) < 1e-12
+        assert "(expected 0.0)" in out
+        assert circular_diff(np.deg2rad(entry["shift_deg"]), 0.0) < 1e-8
+        fit = json.loads((tmp_path / "out" / "fit_d3_t1.json").read_text())
+        assert fit["radians"]["visibility"] == pytest.approx(0.35 / 3.0, abs=1e-9)
 
     def test_fit_ref_reports_frozen(self, tmp_path):
         assert run_cli("campaign", self.write_spec(tmp_path, t_values=[0, 0.5, 1])) == 0

@@ -1,7 +1,9 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from sagnacsim import ExperimentConfig, builtin_schedule, fit_fringe, generate_scan
-from sagnacsim.plotting import render_campaign_svg
+from sagnacsim.plotting import PANEL_H, PANEL_W, _Canvas, _shift_panel, render_campaign_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -19,3 +21,17 @@ def test_flat_fit_drawn_through_its_points():
     n = scans[1].values.size
     assert len(curve) == 200  # the t = 0 fit, sampled densely
     assert flat == points[n:2 * n]  # the t = 0.5 scan, joined point to point
+
+
+# 240 deg is the shift of a d = 3 loop in sector 2; the built-ins shift by 180 deg at most
+@pytest.mark.parametrize("shift_deg, labels", [
+    (240.0, ["0", "90", "180", "270"]),
+    (180.0, ["0", "90", "180"]),
+    (90.0, ["0", "90"]),
+])
+def test_shift_axis_labels(shift_deg, labels):
+    canvas = _Canvas(PANEL_W, PANEL_H)
+    _shift_panel(canvas, 0, 0, [{"dim": 3, "shift_deg": shift_deg, "theory_deg": shift_deg,
+                                 "sigma_deg": 0.0}])
+    svg = ET.fromstring(canvas.render())
+    assert [t.text for t in svg.iter(f"{SVG}text") if t.get("text-anchor") == "end"] == labels

@@ -5,20 +5,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import circular_diff, stacked_phases
 from sagnacsim import (
     ConfigError,
+    ExperimentConfig,
     InvalidDimensionError,
     PhaseSchedule,
     ScheduleError,
     builtin_schedule,
     check_su,
+    fit_fringe,
+    generate_scan,
     load_schedule,
+    phase_shift,
 )
-from sagnacsim.schedule import SU_TOL
+from sagnacsim.schedule import SU_TOL, expected_shift
 
 
 class TestBuiltinEndpoints:
@@ -107,6 +111,80 @@ class TestContinuityAndCyclicity:
         final = builtin_schedule(d)(1.0)
         for xi_k in final:
             assert circular_diff(xi_k, 2.0 * np.pi / d) < 1e-12
+
+
+def straight_loop(endpoint):
+    """The custom schedule that runs in a straight line from 0 to ``endpoint`` (radians)."""
+    return PhaseSchedule(len(endpoint), "custom", times=[0.0, 1.0],
+                         values=[np.zeros(len(endpoint)), endpoint])
+
+
+@st.composite
+def zero_sum_loops(draw):
+    """A custom schedule with 2-4 breakpoints and d = 2..6.
+
+    Each row's first d - 1 phases are drawn within +-400 deg; the last is minus
+    their sum.
+    """
+    d = draw(st.integers(2, 6))
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=2, unique=True))
+    times = [0.0, *sorted(inner), 1.0]
+    rows = [[0.0] * d]
+    for _ in times[1:]:
+        row = draw(st.lists(st.floats(-400.0, 400.0), min_size=d - 1, max_size=d - 1))
+        rows.append(row + [-sum(row)])
+    return PhaseSchedule(d, "custom", times=times, values=np.deg2rad(rows))
+
+
+class TestExpectedShift:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_builtins_in_sector_one(self, d):
+        assert expected_shift(builtin_schedule(d)) == (360.0 / d, 1)
+
+    # every phase congruent at t = 1: the sector is d xi_1(1) / 2 pi mod d, of either sign
+    @pytest.mark.parametrize("endpoint_deg, shift_deg, n", [
+        ([240.0, 240.0, -480.0], 240.0, 2),
+        ([-240.0, -240.0, 480.0], 120.0, 1),
+        ([480.0, 480.0, -960.0], 120.0, 1),
+        ([-180.0, 180.0], 180.0, 1),
+        ([360.0, -360.0], 0.0, 0),
+        ([90.0, -270.0, 90.0, 90.0], 90.0, 1),
+    ])
+    def test_cyclic_loops(self, endpoint_deg, shift_deg, n):
+        assert expected_shift(straight_loop(np.deg2rad(endpoint_deg))) == (shift_deg, n)
+
+    @pytest.mark.parametrize("endpoint_deg, shift_deg", [
+        ([90.0, 0.0, -90.0], 0.0),
+        ([90.0, -90.0], 0.0),
+        ([180.0, 0.0, -180.0], 180.0),
+        ([90.0, 90.0, -180.0], np.rad2deg(np.arctan2(2.0, -1.0))),  # z = (2i - 1) / 3
+    ])
+    def test_loops_that_are_not_cyclic(self, endpoint_deg, shift_deg):
+        shift, n = expected_shift(straight_loop(np.deg2rad(endpoint_deg)))
+        assert n is None
+        assert 0.0 <= shift < 360.0
+        assert circular_diff(np.deg2rad(shift), np.deg2rad(shift_deg)) < 1e-12
+
+    # two of the phases split by 2 delta around 2 pi / 3, the third at -4 pi / 3
+    @pytest.mark.parametrize("delta, n", [(1e-13, 1), (1e-12, None)])
+    def test_cyclic_within_su_tol(self, delta, n):
+        third = 2.0 * np.pi / 3.0
+        shift, got = expected_shift(straight_loop([third + delta, third - delta, -2.0 * third]))
+        assert got == n
+        assert circular_diff(np.deg2rad(shift), third) < 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(zero_sum_loops())
+    def test_exact_fit_follows_the_endpoint(self, sched):
+        # the MES fringe at t = 1 is (1 - |z| cos(4 theta - arg z)) / 2 at contrast 1
+        z = np.mean(np.exp(1j * sched(1.0)))
+        assume(abs(z) > 0.1)
+        cfg = ExperimentConfig(dim=sched.dim, schedule=sched, contrast=1.0)
+        fit_ref, fit_op = (fit_fringe(generate_scan(cfg, t, mode="exact")) for t in (0.0, 1.0))
+        shift, _ = phase_shift(fit_ref, fit_op)
+        assert circular_diff(shift, np.deg2rad(expected_shift(sched)[0])) < np.deg2rad(1e-6)
+        assert fit_op.visibility == pytest.approx(abs(z), abs=1e-9)
 
 
 class TestCheckSu:

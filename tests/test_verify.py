@@ -147,14 +147,14 @@ def test_su_schedules_phase_sum_failure(monkeypatch, capsys):
 
 
 def test_su_schedules_endpoint_failure(monkeypatch, capsys):
-    # traceless, but xi(1) = (240, 240, -480) deg is in class 2, not congruent to 2*pi/3
+    # traceless and cyclic, but xi(1) = (240, 240, -480) deg ends the loop in sector 2, not 1
     winding_2 = PhaseSchedule(3, "custom", times=[0.0, 1.0],
                               values=np.deg2rad([[0.0, 0.0, 0.0], [240.0, 240.0, -480.0]]))
     real = verify.builtin_schedule
     monkeypatch.setattr(verify, "builtin_schedule", lambda d: winding_2 if d == 3 else real(d))
     assert run_cli("verify", "--trials", 20, "--seed", 0) == 1
     assert capsys.readouterr().out.splitlines()[2] == (
-        "[FAIL] su-schedules: d=3: xi_1(1) not congruent to 2*pi/3 (err 2.094e+00)")
+        "[FAIL] su-schedules: d=3: loop ends in sector n=2, not 1")
 
 
 NAN = float("nan")
