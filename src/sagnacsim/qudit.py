@@ -45,7 +45,7 @@ class BipartiteQuditState:
             raise DimensionMismatchError(
                 f"amplitude matrix must be {dim}x{dim}, got {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude fails too
             raise NormalizationError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e} (tol {NORM_TOL})"

@@ -100,6 +100,10 @@ class PhaseSchedule:
             raise ScheduleError("breakpoint times and phases must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ScheduleError("breakpoint times must be strictly increasing")
+        with np.errstate(over="ignore"):  # np.interp would return +-inf across such a gap
+            slopes = np.diff(values, axis=0) / np.diff(times)[:, None]
+        if not np.all(np.isfinite(slopes)):
+            raise ScheduleError("breakpoint time gap too small: a phase slope overflows")
         if times[0] != 0.0 or times[-1] != 1.0:
             raise ScheduleError("breakpoints must start at t=0 and end at t=1")
         if np.any(np.abs(values[0]) > 0.0):

@@ -37,32 +37,31 @@ class CheckResult:
     detail: str
 
 
-def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
-    """Haar-like random pure state (normalized complex Gaussian matrix)."""
-    amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    amps /= np.linalg.norm(amps)
-    return BipartiteQuditState(d, amps)
-
-
-def _compare_blocks(name: str, trials: int, draw, diffs, describe) -> CheckResult:
+def _compare_blocks(name: str, trials: int, rng: np.random.Generator, diffs, describe,
+                    dim: int | None = None) -> CheckResult:
     """Compare two routes on ``trials`` random trials, drawn ``BLOCK`` at a time.
 
-    ``draw()`` makes one trial, a tuple whose first item is its dimension d.
-    ``diffs(d, batch)`` returns |route 1 - route 2| for a block's trials of
-    dimension d, in order; ``describe(*trial)`` names a failing trial.  A set
+    A block draws its trials' dimensions in one call, unless ``dim`` fixes
+    them.  ``diffs(d, n)`` then draws the block's n trials of dimension d,
+    for each d present in increasing order, and returns |route 1 - route 2|
+    with the drawn arrays that ``describe(d, *row)`` names a trial by.  A set
     groups the trials, since ``np.unique`` would import ``numpy.ma`` and grow
     the peak memory.  The first failure in trial order ends the check.
     """
     worst = 0.0
     for start in range(0, trials, BLOCK):
-        block = [draw() for _ in range(min(BLOCK, trials - start))]
-        values = np.empty(len(block))
-        for d in {trial[0] for trial in block}:
-            rows = [i for i, trial in enumerate(block) if trial[0] == d]
-            values[rows] = diffs(d, [block[i] for i in rows])
-        for i, (trial, diff) in enumerate(zip(block, values.tolist()), start):
+        k = min(BLOCK, trials - start)
+        dims = np.full(k, dim) if dim is not None else rng.integers(2, 7, size=k)
+        values, drawn = np.empty(k), {}
+        for d in sorted(set(dims.tolist())):
+            rows = dims == d
+            values[rows], drawn[d] = diffs(d, int(np.count_nonzero(rows)))
+        for i, diff in enumerate(values.tolist()):
             if not diff <= ORACLE_TOL:
-                return CheckResult(name, False, f"trial {i}: {describe(*trial)} |diff|={diff:.3e}")
+                d = int(dims[i])
+                row = int(np.count_nonzero(dims[:i] == d))
+                trial = describe(d, *(part[row] for part in drawn[d]))
+                return CheckResult(name, False, f"trial {start + i}: {trial} |diff|={diff:.3e}")
             worst = max(worst, diff)
     return CheckResult(name, True, f"{trials} trials, max |diff| = {worst:.3e}")
 
@@ -72,26 +71,29 @@ def check_oracle_equivalence(
 ) -> CheckResult:
     """Closed-form coincidence vs full circuit propagation on random inputs.
 
-    The closed form takes one stacked call per dimension of a block; the
-    oracle then runs trial by trial.
+    A random state is a normalized complex Gaussian matrix.  The closed form
+    takes one stacked call per dimension of a block; the oracle then runs
+    trial by trial, each on its own validated state.
     """
-    def draw() -> tuple:
-        s = state if state is not None else random_state(rng, int(rng.integers(2, 7)))
-        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=s.dim)
-        return s.dim, s, xi, rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi)
+    def diffs(d: int, n: int) -> tuple:
+        if state is None:
+            amps = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
+            states = [BipartiteQuditState(d, a) for a in amps]
+        else:
+            amps, states = state.amplitudes, [state] * n
+        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(n, d))
+        theta, phi = rng.uniform(0.0, np.pi, size=n), rng.uniform(0.0, np.pi, size=n)
+        oracle = [circuit_oracle(s, x, t, p)
+                  for s, x, t, p in zip(states, xi, theta.tolist(), phi.tolist())]
+        return np.abs(_coincidence(amps, xi, theta) - oracle), (xi, theta, phi)
 
-    def diffs(d: int, batch: list[tuple]) -> np.ndarray:
-        _, states, xis, thetas, _ = zip(*batch)
-        closed = _coincidence(np.array([s.amplitudes for s in states]), np.array(xis),
-                              np.array(thetas))
-        return np.abs(closed - [circuit_oracle(s, xi, theta, phi)
-                                for _, s, xi, theta, phi in batch])
-
-    def describe(d, s, xi, theta, phi) -> str:
+    def describe(d, xi, theta, phi) -> str:
         return (f"d={d} theta={theta:.6f} phi={phi:.6f} "
                 f"xi={np.array2string(xi, precision=6, max_line_width=np.inf)}")
 
-    return _compare_blocks("oracle-equivalence", trials, draw, diffs, describe)
+    return _compare_blocks("oracle-equivalence", trials, rng, diffs, describe,
+                           None if state is None else state.dim)
 
 
 def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
@@ -99,17 +101,13 @@ def check_mes_reduction(trials: int, rng: np.random.Generator) -> CheckResult:
 
     Both forms take one stacked call per dimension of a block.
     """
-    def draw() -> tuple:
-        d = int(rng.integers(2, 7))
-        return d, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=d), rng.uniform(0.0, np.pi)
-
-    def diffs(d: int, batch: list[tuple]) -> np.ndarray:
-        _, xis, thetas = zip(*batch)
-        xi, theta = np.array(xis), np.array(thetas)
+    def diffs(d: int, n: int) -> tuple:
+        xi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(n, d))
+        theta = rng.uniform(0.0, np.pi, size=n)
         full = coincidence_full(make_antisymmetric_mes(d), xi, theta)
-        return np.abs(full - coincidence_mes(d, xi, theta))
+        return np.abs(full - coincidence_mes(d, xi, theta)), (xi, theta)
 
-    return _compare_blocks("mes-reduction", trials, draw, diffs,
+    return _compare_blocks("mes-reduction", trials, rng, diffs,
                            lambda d, xi, theta: f"d={d} theta={theta:.6f}")
 
 

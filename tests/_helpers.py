@@ -10,6 +10,7 @@ the columns with ``np.stack``; the schedule tests require the package's
 one-output evaluation to match it bit for bit.
 ``i_concurrence`` measures how entangled a state is; the tests use it to
 check that ``make_antisymmetric_mes`` gives maximally entangled states.
+``random_state`` draws one normalized complex Gaussian state.
 ``compose`` multiplies a stack of Jones matrices, the reference that
 ``phase_shifter`` must match bit for bit; ``state_json`` writes a state in
 the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
@@ -138,6 +139,13 @@ def compose(matrices) -> np.ndarray:
     for m in mats:
         out = np.asarray(m, dtype=complex) @ out
     return out
+
+
+def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
+    """Haar-like random pure state (normalized complex Gaussian matrix)."""
+    amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    amps /= np.linalg.norm(amps)
+    return BipartiteQuditState(d, amps)
 
 
 def state_json(state: BipartiteQuditState) -> dict:

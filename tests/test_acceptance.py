@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import circular_diff, i_concurrence
+from _helpers import circular_diff, i_concurrence, random_state
 from sagnacsim import (
     CampaignSpec,
     ExperimentConfig,
@@ -28,7 +28,6 @@ from sagnacsim import (
     relative_phase,
     run_campaign,
 )
-from sagnacsim.verify import random_state
 
 THETAS_37 = np.deg2rad(np.arange(0.0, 180.0 + 1e-9, 5.0))
 # reference measured shifts (value, tolerance) in degrees that sampled-mode

@@ -122,6 +122,14 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: malformed schedule file")
         assert not (tmp_path / "out").exists()
 
+    def test_schedule_gap_overflowing_slope_exits_2(self, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        sched.write_text('{"dim": 2, "breakpoints": [[0, [0, 0]], [1e-323, [1, -1]], [1, [0, 0]]]}')
+        assert run_cli("simulate", "--d", 2, "--t", 1, "--schedule-file", sched,
+                       "--out", tmp_path / "out" / "x.csv") == 2
+        assert "a phase slope overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_counts_beyond_ceiling_exits_2(self, tmp_path, capsys):
         assert run_cli("simulate", "--d", 2, "--t", 0, "--counts", 10 ** 20,
                        "--out", tmp_path / "out" / "x.csv") == 2

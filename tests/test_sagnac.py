@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _helpers import random_state
 from sagnacsim import (
     BipartiteQuditState,
     ConfigError,
@@ -27,7 +28,6 @@ from sagnacsim import (
     write_scan,
 )
 from sagnacsim.sagnac import MAX_COUNTS, _coincidence, scan_metadata
-from sagnacsim.verify import random_state
 
 
 class TestCoincidenceFull:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import circular_diff, stacked_phases
@@ -113,6 +113,16 @@ class TestContinuityAndCyclicity:
             assert circular_diff(xi_k, 2.0 * np.pi / d) < 1e-12
 
 
+def slopes_finite(times, values) -> bool:
+    """True iff every phase slope between neighbouring breakpoints is finite.
+
+    ``PhaseSchedule`` refuses a table that breaks it: across a gap too small for
+    its phase step, ``np.interp`` would return +-inf.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.diff(values, axis=0) / np.diff(times)[:, None])))
+
+
 def straight_loop(endpoint):
     """The custom schedule that runs in a straight line from 0 to ``endpoint`` (radians)."""
     return PhaseSchedule(len(endpoint), "custom", times=[0.0, 1.0],
@@ -124,7 +134,7 @@ def zero_sum_loops(draw):
     """A custom schedule with 2-4 breakpoints and d = 2..6.
 
     Each row's first d - 1 phases are drawn within +-400 deg; the last is minus
-    their sum.
+    their sum.  A table whose slopes overflow is not a schedule, so it is drawn again.
     """
     d = draw(st.integers(2, 6))
     inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -134,6 +144,7 @@ def zero_sum_loops(draw):
     for _ in times[1:]:
         row = draw(st.lists(st.floats(-400.0, 400.0), min_size=d - 1, max_size=d - 1))
         rows.append(row + [-sum(row)])
+    assume(slopes_finite(times, np.deg2rad(rows)))
     return PhaseSchedule(d, "custom", times=times, values=np.deg2rad(rows))
 
 
@@ -241,6 +252,14 @@ class TestCustomSchedules:
     ])
     def test_non_finite_breakpoints_rejected(self, times, values):
         with pytest.raises(ScheduleError, match="finite"):
+            PhaseSchedule(2, "custom", times=times, values=values)
+
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 1e-323, 1.0], [[0.0, 0.0], [1.0, -1.0], [0.0, 0.0]]),
+        ([0.0, 0.5, 1.0], [[0.0, 0.0], [1e308, -1e308], [-1e308, 1e308]]),
+    ], ids=["tiny-gap", "overflowing-step"])
+    def test_overflowing_slopes_rejected(self, times, values):
+        with pytest.raises(ScheduleError, match="slope overflows"):
             PhaseSchedule(2, "custom", times=times, values=values)
 
     @pytest.mark.parametrize("dim", [2.5, "2", True, None])
@@ -367,8 +386,9 @@ class TestLoader:
 def schedule_tables(draw):
     """(dim, times, phase rows in degrees, valid) for a schedule file.
 
-    The rows are traceless with a zero first row; when ``valid`` is false,
-    one drawn entry was then moved, which breaks the SU(d) condition.
+    The rows are traceless with a zero first row.  ``valid`` is false when
+    one drawn entry was then moved, which breaks the SU(d) condition, or when
+    a time gap is too small for its phase step (``slopes_finite``).
     """
     d = draw(st.integers(2, 6))
     inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -382,12 +402,15 @@ def schedule_tables(draw):
     if not valid:
         row, k = draw(st.integers(0, len(times) - 1)), draw(st.integers(0, d - 1))
         rows[row][k] += draw(st.floats(1e-6, 90.0))
-    return d, times, rows, valid
+    return d, times, rows, valid and slopes_finite(times, np.deg2rad(rows))
 
 
 class TestLoaderProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(schedule_tables(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    # traceless, but 1 deg over a gap of 1e-323 overflows the slope: interp gave [0, inf, -inf]
+    @example((3, [0.0, 1e-323, 0.25, 0.375, 0.5, 0.53125, 0.5625, 0.625, 0.75, 1.0],
+              [[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], *[[0.0, 0.0, -0.0]] * 8], False), [5e-324])
     def test_loaded_schedules_keep_the_invariants(self, table, ts):
         # a loaded schedule has xi(0) = 0 and a zero phase sum at every t,
         # breakpoints included; a table that breaks either is refused

@@ -10,8 +10,15 @@ import pytest
 
 import sagnacsim
 import sagnacsim.sagnac
-from _helpers import frozen_on
-from sagnacsim import PhaseSchedule, jones, make_antisymmetric_mes, run_verification, verify
+from _helpers import frozen_on, random_state
+from sagnacsim import (
+    BipartiteQuditState,
+    PhaseSchedule,
+    jones,
+    make_antisymmetric_mes,
+    run_verification,
+    verify,
+)
 from sagnacsim.cli import main
 
 
@@ -53,8 +60,6 @@ def test_detail_reports_max_deviation():
 
 
 def test_random_state_normalized():
-    from sagnacsim.verify import random_state
-
     rng = np.random.default_rng(0)
     s = random_state(rng, 5)
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-12
@@ -69,14 +74,14 @@ TAIL = (
     "[PASS] phase-shifter: 100 points, max err = 1.776e-15\n"
     "[PASS] kinematic-agreement: dims (2, 3, 4): |shift - geometric| <= 1e-06\n"
 )
-# stdout of `verify --trials 2000`, frozen from the per-trial implementation
+# stdout of `verify --trials 2000`, frozen from the block-at-a-time draws
 FROZEN_STDOUT = {
-    0: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.221e-15\n"
+    0: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
        "[PASS] mes-reduction: 2000 trials, max |diff| = 6.661e-16\n" + TAIL,
-    1: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 7.772e-16\n"
-       "[PASS] mes-reduction: 2000 trials, max |diff| = 5.551e-16\n" + TAIL,
-    7: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
-       "[PASS] mes-reduction: 2000 trials, max |diff| = 6.661e-16\n" + TAIL,
+    1: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 9.992e-16\n"
+       "[PASS] mes-reduction: 2000 trials, max |diff| = 7.772e-16\n" + TAIL,
+    7: "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.443e-15\n"
+       "[PASS] mes-reduction: 2000 trials, max |diff| = 7.772e-16\n" + TAIL,
 }
 
 
@@ -95,35 +100,84 @@ def test_verify_state_stdout_frozen(tmp_path, capsys):
     }))
     assert run_cli("verify", "--trials", 2000, "--seed", 11, "--state", state) == 0
     assert capsys.readouterr().out == (
-        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15\n"
-        "[PASS] mes-reduction: 2000 trials, max |diff| = 8.882e-16\n" + TAIL
+        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.332e-15\n"
+        "[PASS] mes-reduction: 2000 trials, max |diff| = 9.992e-16\n" + TAIL
     ), frozen_on()
 
 
-# Faults that first fire in the second block of trials, at the trial index and
-# with the message the per-trial implementation reported for seed 0.
+# Faults that first fire in the second block of trials of seed 0, reported by
+# their trial index in the whole run.
 def test_oracle_failure_in_second_block(monkeypatch, capsys):
     real = verify.circuit_oracle
     monkeypatch.setattr(verify, "circuit_oracle", lambda s, xi, theta, phi=0.0: (
         real(s, xi, theta, phi) + (1e-9 if theta > 3.135 else 0.0)))
-    assert verify.BLOCK <= 321 < 2 * verify.BLOCK
+    assert verify.BLOCK <= 342 < 2 * verify.BLOCK
     assert run_cli("verify", "--trials", 2000, "--seed", 0) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
-        "[FAIL] oracle-equivalence: trial 321: d=3 theta=3.138241 phi=0.003883 "
-        "xi=[-4.884266  1.83037  -5.539952] |diff|=1.000e-09"
+        "[FAIL] oracle-equivalence: trial 342: d=6 theta=3.135836 phi=0.954816 "
+        "xi=[ 1.265105 -2.522274 -1.759885 -5.583535  1.618453 -5.555543] |diff|=1.000e-09"
     )
 
 
 def test_mes_failure_in_second_block(monkeypatch, capsys):
+    # qubits only: a d = 6 trial of the first block already has theta > 3.12
     real = verify.coincidence_mes
     monkeypatch.setattr(verify, "coincidence_mes", lambda d, xi, theta: (
-        real(d, xi, theta) + np.where(np.asarray(theta) > 3.12, 1e-9, 0.0)))
-    assert verify.BLOCK <= 436 < 2 * verify.BLOCK
+        real(d, xi, theta) + np.where((np.asarray(theta) > 3.12) & (d == 2), 1e-9, 0.0)))
+    assert verify.BLOCK <= 313 < 2 * verify.BLOCK
     assert run_cli("verify", "--trials", 2000, "--seed", 0) == 1
     assert capsys.readouterr().out.splitlines()[:2] == [
-        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.221e-15",
-        "[FAIL] mes-reduction: trial 436: d=3 theta=3.122056 |diff|=1.000e-09",
+        "[PASS] oracle-equivalence: 2000 trials, max |diff| = 1.110e-15",
+        "[FAIL] mes-reduction: trial 313: d=2 theta=3.126686 |diff|=1.000e-09",
     ]
+
+
+# Seed 0 opens with dimensions 6, 5, 4, 3, 3, 2: a block evaluates its d = 2
+# trials first, but trial 0 (d = 6) comes first in the run.
+@pytest.mark.parametrize("faulty, first", [({2, 6}, "trial 0: d=6 "), ({2}, "trial 5: d=2 ")])
+def test_first_failure_by_trial_index(monkeypatch, faulty, first):
+    real, seen = verify.circuit_oracle, set()
+
+    def oracle(s, xi, theta, phi=0.0):  # wrong on the first trial of each faulty dimension
+        fault = s.dim in faulty and s.dim not in seen
+        seen.add(s.dim)
+        return real(s, xi, theta, phi) + (1e-9 if fault else 0.0)
+
+    monkeypatch.setattr(verify, "circuit_oracle", oracle)
+    result = verify.check_oracle_equivalence(20, np.random.default_rng(0))
+    assert not result.passed and result.detail.startswith(first), result.detail
+
+
+class RecordingGenerator:
+    """Forwards to a numpy Generator and records the name of each method called."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def test_oracle_calls_once_per_trial_on_a_state(monkeypatch):
+    real, calls = verify.circuit_oracle, []
+    monkeypatch.setattr(verify, "circuit_oracle",
+                        lambda s, *args: calls.append(s) or real(s, *args))
+    rng = RecordingGenerator(3)
+    assert verify.check_oracle_equivalence(600, rng).passed
+    assert len(calls) == 600 and all(isinstance(s, BipartiteQuditState) for s in calls)
+    assert rng.calls.count("integers") == 3  # one per block of dimensions
+
+
+def test_state_run_uses_only_its_dimension(monkeypatch):
+    state, real, calls = make_antisymmetric_mes(3), verify.circuit_oracle, []
+    monkeypatch.setattr(verify, "circuit_oracle",
+                        lambda s, *args: calls.append(s) or real(s, *args))
+    rng = RecordingGenerator(4)
+    result = verify.check_oracle_equivalence(300, rng, state)
+    assert result.passed, result.detail
+    assert len(calls) == 300 and all(s is state for s in calls)
+    assert set(rng.calls) == {"uniform"}  # no dimension and no amplitude is drawn
 
 
 def test_verify_does_not_import_numpy_ma():
@@ -174,10 +228,12 @@ def test_nan_value_fails_its_check(monkeypatch, capsys, check, route, nan_route)
 
 
 def test_d6_failure_report_is_one_line(monkeypatch):
-    # the first trial of seed 0 is d = 6, whose phases numpy would wrap at 75 characters
+    # the first trial of seed 377 is d = 6, whose phases (one is -1.3e-3, so numpy
+    # prints them in scientific notation) numpy would wrap at 75 characters
     monkeypatch.setattr(verify, "circuit_oracle", lambda s, xi, theta, phi=0.0: NAN)
-    result = verify.check_oracle_equivalence(20, np.random.default_rng(0))
+    result = verify.check_oracle_equivalence(20, np.random.default_rng(377))
     assert result.detail.startswith("trial 0: d=6 ") and "\n" not in result.detail
+    assert len(result.detail.partition("xi=")[2].partition(" |diff|")[0]) > 75
 
 
 @pytest.mark.parametrize("phase", ["geometric", "dynamical"])
