@@ -26,6 +26,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORK = ROOT / ".mutation_work"
 
+# Source of a fringe memo keyed without argument ``index`` of ``_mes_fringe``: a miss
+# computes with the caller's value, a hit returns a fringe computed for another one.
+MEMO_WITHOUT = """def _memo_without(fringe, index={index}):
+    last = [None]
+    memo = functools.lru_cache(maxsize=32)(
+        lambda *key: fringe(*key[:index], last[0], *key[index:]))
+
+    def call(*args):
+        last[0] = args[index]
+        return memo(*args[:index], *args[index + 1:])
+    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info
+    return call
+
+
+@_memo_without
+"""
+
 # (file in src/sagnacsim, old text, new text, expected, reason); no row restates a raise mutant
 MUTANTS = [
     # the optics, the closed forms and the state
@@ -64,6 +81,14 @@ MUTANTS = [
      "undecodable scan bytes"),
     ("sagnac.py", 'if header[0] != "theta_deg" or header[1:2]', "if header[1:2]", "caught",
      "scan header's first column unchecked"),
+    ("sagnac.py", "@functools.lru_cache(maxsize=32)\n", MEMO_WITHOUT.format(index=3), "caught",
+     "fringe memo keyed without the contrast"),
+    ("sagnac.py", "@functools.lru_cache(maxsize=32)\n", MEMO_WITHOUT.format(index=2), "caught",
+     "fringe memo keyed without the theta grid"),
+    ("sagnac.py", "    values.setflags(write=False)\n    return values\n", "    return values\n",
+     "caught", "fringe memo entry left writeable"),
+    ("sagnac.py", "values = values.astype(float)", "values = values.astype(float, copy=False)",
+     "caught", "exact scan keeps the array it is given, a fringe memo entry included"),
     # the fit, the shift and the kinematic phase
     ("analysis.py", "if y_max - y_min <= 1e-12 * max(1.0, abs(y_max)):", "if y_max - y_min <= 0.0:",
      "caught", "flat data only when exactly flat"),

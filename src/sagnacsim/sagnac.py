@@ -14,6 +14,7 @@ fringe scan over a grid of phase-shifter angles.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -167,8 +168,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         grid = np.array(self.theta_grid, dtype=float)  # a copy: the read-only flag stays ours
-        if grid.size == 0:
-            raise ConfigError("theta grid must not be empty")
+        if grid.ndim != 1 or grid.size == 0:
+            raise ConfigError("theta grid must be a non-empty one-dimensional array")
+        # NaN passes the increasing check below, and the fringe memo would keep it
+        if not np.isfinite(grid).all():
+            raise ConfigError("theta grid must be finite")
         if (grid[1:] <= grid[:-1]).any():
             raise ConfigError("theta grid must be strictly increasing")
         contrast = _real(self.contrast, "contrast")
@@ -224,6 +228,22 @@ class FringeScan:
         object.__setattr__(self, "values", values)
 
 
+@functools.lru_cache(maxsize=32)
+def _mes_fringe(dim: int, xi: bytes, grid: bytes, contrast: float) -> np.ndarray:
+    """p' of the MES at phases ``xi`` over the plate angles ``grid`` (both float64 bytes).
+
+    Read-only and memoized on the numbers themselves: a sweep over seeds builds a
+    fresh config and schedule per seed, but only its Poisson draw differs.
+    """
+    values = coincidence_full(make_antisymmetric_mes(dim), np.frombuffer(xi), np.frombuffer(grid))
+    # p' = 0.5 + contrast * (p - 0.5) in place; rounding can overshoot [0, 1] by ~1 ulp
+    np.add(0.5, np.multiply(contrast, np.subtract(values, 0.5, out=values), out=values),
+           out=values)
+    np.minimum(np.maximum(values, 0.0, out=values), 1.0, out=values)
+    values.setflags(write=False)
+    return values
+
+
 def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> FringeScan:
     """Simulate one fringe scan of the configured experiment.
 
@@ -232,20 +252,18 @@ def generate_scan(cfg: ExperimentConfig, t: float, mode: str = "sampled") -> Fri
     draws Poisson(counts_per_point * p') per point, reproducibly from the
     configured seed: one stream per scan, keyed by (seed, dim, t) with t at
     micro resolution, so distinct dimensions and settings never share noise
-    (stream version ``STREAM_VERSION``).
+    (stream version ``STREAM_VERSION``).  p' comes from ``_mes_fringe``'s memo,
+    which no scan shares.
     """
-    xi = cfg.schedule(t)
-    mes = make_antisymmetric_mes(cfg.dim)
-    values = coincidence_full(mes, xi, cfg.theta_grid)
-    # p' = 0.5 + contrast * (p - 0.5) in place; rounding can overshoot [0, 1] by ~1 ulp
-    np.add(0.5, np.multiply(cfg.contrast, np.subtract(values, 0.5, out=values), out=values),
-           out=values)
-    np.minimum(np.maximum(values, 0.0, out=values), 1.0, out=values)
+    xi = np.asarray(cfg.schedule(t), dtype=float)
+    if xi.shape != (cfg.dim,):  # the key is flat bytes, so the shape is checked here
+        raise DimensionMismatchError(f"expected {cfg.dim} phases, got shape {xi.shape}")
+    values = _mes_fringe(cfg.dim, xi.tobytes(), cfg.theta_grid.tobytes(), cfg.contrast)
     if mode == "sampled":
         key = (cfg.dim, _stream_key(t))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=key))
-        values = rng.poisson(np.multiply(cfg.counts_per_point, values, out=values))
-    # FringeScan refuses any other mode
+        values = rng.poisson(np.multiply(cfg.counts_per_point, values))
+    # FringeScan refuses any other mode, and copies an exact scan's values
     return FringeScan(t, cfg.theta_grid, values, mode)
 
 

@@ -11,6 +11,7 @@ one-output evaluation to match it bit for bit.
 ``i_concurrence`` measures how entangled a state is; the tests use it to
 check that ``make_antisymmetric_mes`` gives maximally entangled states.
 ``random_state`` draws one normalized complex Gaussian state.
+``Squared`` runs a schedule at t^2, a curved loop that no ``src`` schedule is.
 ``compose`` multiplies a stack of Jones matrices, the reference that
 ``phase_shifter`` must match bit for bit; ``state_json`` writes a state in
 the {dim, real, imag} form that ``BipartiteQuditState.from_json_dict`` reads.
@@ -27,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sagnacsim import BipartiteQuditState, DimensionMismatchError, FitError, FitResult, FringeScan
+from sagnacsim import (
+    BipartiteQuditState,
+    DimensionMismatchError,
+    FitError,
+    FitResult,
+    FringeScan,
+    PhaseSchedule,
+)
 from sagnacsim.analysis import (
     MAX_HALVINGS,
     MAX_ITERATIONS,
@@ -146,6 +154,21 @@ def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
     amps = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     amps /= np.linalg.norm(amps)
     return BipartiteQuditState(d, amps)
+
+
+class Squared(PhaseSchedule):
+    """A schedule run at t^2: the same loop along a curved parameterization.
+
+    A subclass with the inner schedule's dim, kind and breakpoints, so only
+    its phases tell it apart.
+    """
+
+    def __init__(self, inner: PhaseSchedule):
+        super().__init__(inner.dim, inner.kind, *(inner.breakpoints or ()))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return super().__call__(t * t)
 
 
 def state_json(state: BipartiteQuditState) -> dict:

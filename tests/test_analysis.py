@@ -11,6 +11,7 @@ from _helpers import (
     NEGATIVE_AMPLITUDE_COUNTS,
     NEGATIVE_AMPLITUDE_THETAS,
     DiagonalPhaseOp,
+    Squared,
     apply_signal_phases,
     circular_diff,
     frozen_on,
@@ -533,17 +534,6 @@ class TestKinematicPhase:
         kin = kinematic_phase(make_antisymmetric_mes(2), builtin_schedule(2), 200)
         assert np.rad2deg(kin.geometric) == pytest.approx(180.0, abs=1e-4)
         assert kin.steps == 200
-
-
-class Squared:
-    """A schedule run at t^2: the same loop along a curved parameterization."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
-
-    def __call__(self, t):
-        return self.inner(t * t)
 
 
 def reference_kinematic(state, schedule, steps):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,24 +12,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _helpers import random_state
+from _helpers import Squared, random_state
 from sagnacsim import (
     BipartiteQuditState,
     ConfigError,
     DimensionMismatchError,
     ExperimentConfig,
     FringeScan,
+    PhaseSchedule,
     ScheduleError,
     builtin_schedule,
     circuit_oracle,
     coincidence_full,
     coincidence_mes,
     generate_scan,
+    load_schedule,
     make_antisymmetric_mes,
     read_scan,
     write_scan,
 )
-from sagnacsim.sagnac import MAX_COUNTS, _coincidence, scan_metadata
+from sagnacsim.sagnac import (
+    DEFAULT_THETA_GRID,
+    MAX_COUNTS,
+    _coincidence,
+    _mes_fringe,
+    scan_metadata,
+)
 
 
 class TestCoincidenceFull:
@@ -148,8 +158,8 @@ class TestExperimentConfig:
             ExperimentConfig(dim=2, schedule=sched, theta_grid=np.array([]))
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, theta_grid=np.array([0.2, 0.1]))
-        # a repeated infinity is not increasing, though inf - inf is NaN, not <= 0
-        with pytest.raises(ConfigError, match="strictly increasing"):
+        # a repeated infinity is refused as not finite before the increasing check
+        with pytest.raises(ConfigError, match="finite"):
             ExperimentConfig(dim=2, schedule=sched, theta_grid=[0.0, np.inf, np.inf])
         with pytest.raises(ConfigError):
             ExperimentConfig(dim=2, schedule=sched, contrast=1.5)
@@ -166,6 +176,18 @@ class TestExperimentConfig:
                 ExperimentConfig(dim=2, schedule=sched, rng_seed=seed)
         with pytest.raises(DimensionMismatchError):
             ExperimentConfig(dim=3, schedule=sched)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0, 2.0], [0.0, 1.0, 2.0, np.inf],
+                                      [-np.inf, 0.0, 1.0, 2.0]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        # each passes the increasing check; a sampled scan then failed in numpy's Poisson draw
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(dim=3, schedule=builtin_schedule(3), theta_grid=grid)
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.0, 1.0], [2.0, 3.0]]])
+    def test_grid_not_one_dimensional_rejected(self, grid):
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            ExperimentConfig(dim=2, schedule=builtin_schedule(2), theta_grid=grid)
 
     def test_caller_grid_stays_writeable(self):
         grid = np.deg2rad(np.arange(0.0, 181.0, 5.0))
@@ -375,6 +397,93 @@ class TestGenerateScan:
         cfg = ExperimentConfig(dim=2, schedule=builtin_schedule(2))
         with pytest.raises(ConfigError):
             generate_scan(cfg, 0.0, mode="fancy")
+
+
+class TestFringeMemo:
+    """``generate_scan`` keeps each noise-free fringe in ``_mes_fringe``'s memo.
+
+    A memo keyed on less than the numbers the fringe is computed from, or an
+    entry that a scan shares, would change scans only once the memo is warm.
+    """
+
+    @staticmethod
+    def schedules(tmp_path):
+        path = tmp_path / "loop.json"  # a d = 3 table that is not cyclic
+        path.write_text(json.dumps({"dim": 3, "breakpoints": [
+            [0.0, [0, 0, 0]], [0.4, [200, -50, -150]], [1.0, [90, 0, -90]]]}))
+        custom = load_schedule(path)
+        builtins = [builtin_schedule(d) for d in (2, 3, 4)]
+        return builtins + [custom, Squared(builtins[1]), Squared(custom)]
+
+    @staticmethod
+    def entry(cfg, t):
+        """The memo's entry for this config at t."""
+        xi = cfg.schedule(t)
+        return _mes_fringe(cfg.dim, xi.tobytes(), cfg.theta_grid.tobytes(), cfg.contrast)
+
+    def test_cold_and_warm_scans_identical(self, tmp_path):
+        configs = [ExperimentConfig(dim=s.dim, schedule=s, rng_seed=5)
+                   for s in self.schedules(tmp_path)]
+        cases = [(cfg, t, mode) for cfg in configs for t in (0.0, 0.5, 1.0)
+                 for mode in ("exact", "sampled")]
+        cold = []
+        for cfg, t, mode in cases:
+            _mes_fringe.cache_clear()
+            cold.append(generate_scan(cfg, t, mode).values)
+        _mes_fringe.cache_clear()
+        for _ in range(2):  # the first pass fills the memo, the second only reads it
+            for (cfg, t, mode), values in zip(cases, cold):
+                warm = generate_scan(cfg, t, mode).values
+                assert warm.dtype == values.dtype and warm.tobytes() == values.tobytes()
+        assert _mes_fringe.cache_info().hits >= len(cases)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_entry_read_only_and_never_handed_out(self, mode):
+        cfg = ExperimentConfig(dim=3, schedule=builtin_schedule(3), contrast=1.0)
+        scan = generate_scan(cfg, 0.5, mode)
+        entry = self.entry(cfg, 0.5)
+        assert not entry.flags.writeable
+        assert not np.shares_memory(scan.values, entry)
+
+    @pytest.mark.parametrize("field, value", [("contrast", 0.5),
+                                              ("theta_grid", DEFAULT_THETA_GRID + 0.01),
+                                              ("t", 1.0)], ids=["contrast", "grid", "t"])
+    def test_configs_differing_in_one_number_get_their_own_fringe(self, field, value):
+        cfg_a = ExperimentConfig(dim=3, schedule=builtin_schedule(3))
+        cfg_b = cfg_a if field == "t" else dataclasses.replace(cfg_a, **{field: value})
+        cases = ((cfg_a, 0.0), (cfg_b, value if field == "t" else 0.0))
+        cold = []
+        for cfg, t in cases:
+            _mes_fringe.cache_clear()
+            cold.append(generate_scan(cfg, t, "exact").values)
+        assert not np.array_equal(cold[0], cold[1])
+        _mes_fringe.cache_clear()  # one memo for both, b after a
+        for (cfg, t), values in zip(cases, cold):
+            np.testing.assert_array_equal(generate_scan(cfg, t, "exact").values, values)
+
+    def test_seed_sweep_computes_each_fringe_once(self):
+        _mes_fringe.cache_clear()
+        for seed in range(10):
+            for d in (2, 3, 4):  # a fresh config and schedule per seed, as a sweep builds them
+                cfg = ExperimentConfig(dim=d, schedule=builtin_schedule(d), rng_seed=seed)
+                generate_scan(cfg, 0.0), generate_scan(cfg, 1.0)
+        info = _mes_fringe.cache_info()
+        assert (info.misses, info.hits) == (6, 54)
+
+    @pytest.mark.parametrize("reshape", [lambda xi: np.append(xi, 0.0),
+                                         lambda xi: xi[:, None]], ids=["extra", "column"])
+    def test_wrong_shape_phases_rejected(self, reshape):
+        # a column holds the right bytes, so only a shape check tells it apart
+        class Reshaped(PhaseSchedule):
+            def __call__(self, t):
+                return reshape(super().__call__(t))
+
+        cfg = ExperimentConfig(dim=3, schedule=Reshaped(3, "builtin"))
+        _mes_fringe.cache_clear()
+        for mode in ("exact", "sampled"):
+            with pytest.raises(DimensionMismatchError):
+                generate_scan(cfg, 0.5, mode)
+        assert _mes_fringe.cache_info().currsize == 0
 
 
 @st.composite
