@@ -30,7 +30,7 @@ WORK = ROOT / ".mutation_work"
 # computes with the caller's value, a hit returns a fringe computed for another one.
 MEMO_WITHOUT = """def _memo_without(fringe, index={index}):
     last = [None]
-    memo = functools.lru_cache(maxsize=32)(
+    memo = functools.lru_cache(maxsize=8)(
         lambda *key: fringe(*key[:index], last[0], *key[index:]))
 
     def call(*args):
@@ -81,9 +81,9 @@ MUTANTS = [
      "undecodable scan bytes"),
     ("sagnac.py", 'if header[0] != "theta_deg" or header[1:2]', "if header[1:2]", "caught",
      "scan header's first column unchecked"),
-    ("sagnac.py", "@functools.lru_cache(maxsize=32)\n", MEMO_WITHOUT.format(index=3), "caught",
+    ("sagnac.py", "@functools.lru_cache(maxsize=8)\n", MEMO_WITHOUT.format(index=3), "caught",
      "fringe memo keyed without the contrast"),
-    ("sagnac.py", "@functools.lru_cache(maxsize=32)\n", MEMO_WITHOUT.format(index=2), "caught",
+    ("sagnac.py", "@functools.lru_cache(maxsize=8)\n", MEMO_WITHOUT.format(index=2), "caught",
      "fringe memo keyed without the theta grid"),
     ("sagnac.py", "    values.setflags(write=False)\n    return values\n", "    return values\n",
      "caught", "fringe memo entry left writeable"),

@@ -228,7 +228,7 @@ class FringeScan:
         object.__setattr__(self, "values", values)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _mes_fringe(dim: int, xi: bytes, grid: bytes, contrast: float) -> np.ndarray:
     """p' of the MES at phases ``xi`` over the plate angles ``grid`` (both float64 bytes).
 
