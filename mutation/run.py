@@ -59,8 +59,15 @@ MUTANTS = [
     ("qudit.py", "amps[np.arange(d), d - 1 - np.arange(d)]", "amps[np.arange(d), np.arange(d)]",
      "caught", "diagonal support in place of anti-diagonal"),
     # schedules and scans: model, sampling and IO
-    ("schedule.py", "h = (t >= 0.5).astype(float)", "h = (t > 0.5).astype(float)", "equivalent",
-     "every h-term carries a factor 2t - 1 or 1 - 2t, which is 0 at t = 0.5"),
+    ("schedule.py", "bisect.bisect_right(self._times, x)", "bisect.bisect_left(self._times, x)",
+     "caught", "scalar t on a knot evaluated on the segment before it"),
+    ("schedule.py", "np.searchsorted(flat, self._times)",
+     'np.searchsorted(flat, self._times, side="right")', "caught",
+     "array t on a knot evaluated on the segment before it"),
+    ("schedule.py", "xi[order] = xi.copy()", "pass", "caught",
+     "unsorted t answered in sorted order"),
+    ("schedule.py", "np.all(flat[1:] >= flat[:-1])", "np.all(flat[1:] > flat[:-1])", "equivalent",
+     "a sorted t with ties is argsorted and scattered back, to the same phases"),
     ("schedule.py", "check_su(schedule) and", "True and", "caught",
      "schedule file checked only at its breakpoint rows"),
     ("schedule.py", "round(schedule.dim * xi[0] / TWO_PI) % schedule.dim",

@@ -233,7 +233,7 @@ def _mes_fringe(dim: int, xi: bytes, grid: bytes, contrast: float) -> np.ndarray
     """p' of the MES at phases ``xi`` over the plate angles ``grid`` (both float64 bytes).
 
     Read-only and memoized on the numbers themselves: a sweep over seeds builds a
-    fresh config and schedule per seed, but only its Poisson draw differs.
+    fresh config per seed, but only its Poisson draw differs.
     """
     values = coincidence_full(make_antisymmetric_mes(dim), np.frombuffer(xi), np.frombuffer(grid))
     # p' = 0.5 + contrast * (p - 0.5) in place; rounding can overshoot [0, 1] by ~1 ulp

@@ -1,14 +1,14 @@
-"""Parametric SU(d) diagonal phase schedules xi_k(t), t in [0, 1].
+"""SU(d) diagonal phase schedules xi_k(t), t in [0, 1], as breakpoint tables.
 
-An SU(d) schedule satisfies sum_k xi_k(t) = 0 (unit determinant) and
-xi_k(0) = 0; ``check_su`` tests the former and ``load_schedule`` rejects
-files violating it.  Built-in schedules exist for d = 2, 3, 4 and
-interpolate from the identity to a point where all phases coincide with
-2*pi/d modulo 2*pi; custom schedules are piecewise-linear between
-user-supplied breakpoints.
+Each is piecewise linear from xi(0) = 0 to t = 1; an SU(d) schedule also has
+sum_k xi_k(t) = 0 (unit determinant), which ``check_su`` tests and
+``load_schedule`` requires.  The built-ins for d = 2, 3, 4 are ``BUILTIN_TABLES``.
 """
 
 from __future__ import annotations
+
+import bisect
+import functools
 
 import numpy as np
 
@@ -24,29 +24,15 @@ from .jones import TWO_PI, _wrap
 
 SU_TOL = 1e-12
 SU_GRID = 1001
-BUILTIN_DIMS = (2, 3, 4)
 
-
-def _builtin_phases(d: int, t: np.ndarray) -> np.ndarray:
-    # each column is written straight into one (..., d) output, not stacked
-    xi = np.empty(t.shape + (d,))
-    if d == 2:
-        xi[..., 0] = np.pi * t
-        xi[..., 1] = -np.pi * t
-        return xi
-    # right-continuous step at the break: 1 for t >= 0.5, 0 before
-    h = (t >= 0.5).astype(float)
-    if d == 3:
-        xi[..., 0] = 2.0 * np.pi / 3.0 * (2.0 * t - (2.0 * t - 1.0) * h)
-        xi[..., 1] = -4.0 * np.pi / 3.0 * t
-        xi[..., 2] = 2.0 * np.pi / 3.0 * (2.0 * t - 1.0) * h
-        return xi
-    # d == 4: PhaseSchedule refuses every other d before it gets here
-    xi[..., 0] = np.pi / 2.0 * t
-    xi[..., 1] = -np.pi / 2.0 * t + np.pi * (1.0 - 2.0 * t) * h
-    xi[..., 2] = 3.0 * np.pi / 2.0 * t - np.pi * (1.0 - 2.0 * t) * h
-    xi[..., 3] = -3.0 * np.pi / 2.0 * t
-    return xi
+# rows (t, phases in degrees) as in a schedule file; each loop ends with every phase
+# in the 360/d sector (Oxman & Khoury, PRL 106, 240503 (2011))
+BUILTIN_TABLES = {
+    2: ((0.0, (0, 0)), (1.0, (180, -180))),
+    3: ((0.0, (0, 0, 0)), (0.5, (120, -120, 0)), (1.0, (120, -240, 120))),
+    4: ((0.0, (0, 0, 0, 0)), (0.5, (45, -45, 135, -135)), (1.0, (90, -270, 450, -270))),
+}
+BUILTIN_DIMS = tuple(BUILTIN_TABLES)
 
 
 def _breakpoint_array(value, what: str) -> np.ndarray:
@@ -62,37 +48,28 @@ def _breakpoint_array(value, what: str) -> np.ndarray:
 
 
 class PhaseSchedule:
-    """Map t -> (xi_1 ... xi_d); evaluate by calling the instance."""
+    """Map t -> (xi_1 ... xi_d) through rows of d phases in radians at increasing
+    ``times`` from 0 (all phases 0) to 1; evaluate by calling the instance."""
 
-    def __init__(self, dim: int, kind: str, times=None, values=None):
+    def __init__(self, dim: int, times, values):
         dim = _integral(dim, "dim")
         if dim < 2:
             raise InvalidDimensionError(f"qudit dimension must be >= 2, got {dim}")
-        self.dim = dim
-        self.kind = kind
-        if kind == "builtin":
-            if dim not in BUILTIN_DIMS:
-                raise InvalidDimensionError(
-                    f"no builtin schedule for d={dim}; supported: {BUILTIN_DIMS}"
-                )
-            self._times = None
-            self._values = None
-        elif kind == "custom":
-            times = _breakpoint_array(times, "breakpoint times")
-            values = _breakpoint_array(values, "breakpoint phases")
-            self._validate_breakpoints(times, values)
-            self._times = times
-            self._values = values
-        else:
-            raise ScheduleError(f"unknown schedule kind {kind!r}")
+        self._dim = dim
+        times = _breakpoint_array(times, "breakpoint times")
+        self._values = values = _breakpoint_array(values, "breakpoint phases")
+        # slope 0 past the last breakpoint, so t = 1 gives the last row
+        self._slopes = np.vstack([self._validate_breakpoints(times, values), np.zeros((1, dim))])
+        self._slopes.setflags(write=False)
+        self._times = tuple(times.tolist())
 
-    def _validate_breakpoints(self, times: np.ndarray, values: np.ndarray) -> None:
-        # structural checks only; the SU(d) phase-sum condition is enforced
-        # at load time (see load_schedule) so check_su stays a real predicate
-        if times.ndim != 1 or values.ndim != 2 or values.shape != (times.size, self.dim):
-            raise ScheduleError(
-                f"breakpoints must be (n,) times with (n, {self.dim}) phase rows"
-            )
+    dim = property(lambda self: self._dim, doc="The qudit dimension d, read-only.")
+
+    def _validate_breakpoints(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # structural checks only, returning the slopes; the SU(d) phase-sum condition
+        # is enforced at load time (see load_schedule) so check_su stays a real predicate
+        if times.ndim != 1 or values.ndim != 2 or values.shape != (times.size, self._dim):
+            raise ScheduleError(f"breakpoints must be (n,) times with (n, {self._dim}) phase rows")
         if times.size < 2:
             raise ScheduleError("need at least two breakpoints")
         # NaN fails every comparison below, so reject it first
@@ -100,7 +77,7 @@ class PhaseSchedule:
             raise ScheduleError("breakpoint times and phases must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ScheduleError("breakpoint times must be strictly increasing")
-        with np.errstate(over="ignore"):  # np.interp would return +-inf across such a gap
+        with np.errstate(over="ignore"):  # a phase would be +-inf across such a gap
             slopes = np.diff(values, axis=0) / np.diff(times)[:, None]
         if not np.all(np.isfinite(slopes)):
             raise ScheduleError("breakpoint time gap too small: a phase slope overflows")
@@ -108,35 +85,57 @@ class PhaseSchedule:
             raise ScheduleError("breakpoints must start at t=0 and end at t=1")
         if np.any(np.abs(values[0]) > 0.0):
             raise ScheduleError("schedule must satisfy xi_k(0) = 0 for all k")
+        return slopes
 
     def __call__(self, t) -> np.ndarray:
-        """Phases at t: shape (d,) for a scalar t, (..., d) for an array of t.
+        """Phases at t, shape (d,) for a scalar t and (..., d) for an array of t.
 
-        Every t must lie in [0, 1]; one out-of-range or NaN element rejects
-        the whole call.
-        """
+        On times[s] <= t < times[s + 1] they are values[s] + slopes[s] (t - times[s]), as
+        numpy's interp computes them; t = 1 gives the last row.  Every t must lie in [0, 1];
+        one out-of-range or NaN element rejects the whole call."""
         t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= 1.0)
-        if not inside.all():
-            raise ScheduleError(f"t out of range: {t[~inside].flat[0]} not in [0, 1]")
-        if self.kind == "builtin":
-            return _builtin_phases(self.dim, t)
-        xi = np.empty(t.shape + (self.dim,))
-        for k in range(self.dim):
-            xi[..., k] = np.interp(t, self._times, self._values[:, k])
-        return xi
+        if t.ndim == 0:
+            x = float(t)
+            if not 0.0 <= x <= 1.0:
+                raise ScheduleError(f"t out of range: {x} not in [0, 1]")
+            s = bisect.bisect_right(self._times, x) - 1
+            return self._values[s] + self._slopes[s] * (x - self._times[s])
+        flat = t.ravel()
+        # NaN compares false, so an array holding one is argsorted, which puts NaN last
+        order = None if np.all(flat[1:] >= flat[:-1]) else np.argsort(flat)
+        if order is not None:
+            flat = flat[order]
+        if flat.size and not (0.0 <= flat[0] and flat[-1] <= 1.0):
+            bad = flat[0] if flat[0] < 0.0 else flat[-1]
+            raise ScheduleError(f"t out of range: {bad} not in [0, 1]")
+        # segment s is flat[cuts[s]:cuts[s + 1]], filled column by column; the last is t = 1
+        cuts = [*np.searchsorted(flat, self._times).tolist(), flat.size]
+        xi = np.empty((flat.size, self._dim))
+        for s, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            dt = flat[lo:hi] - self._times[s]
+            for k in range(self._dim):
+                xi[lo:hi, k] = self._values[s, k] + self._slopes[s, k] * dt
+        if order is not None:
+            xi[order] = xi.copy()
+        return xi.reshape(t.shape + (self._dim,))
 
     @property
-    def breakpoints(self):
-        """(times, values) arrays for custom schedules, None for built-ins."""
-        if self.kind == "builtin":
-            return None
-        return self._times.copy(), self._values.copy()
+    def breakpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the (times, values) table, values in radians."""
+        return np.array(self._times), self._values.copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin(d: int) -> PhaseSchedule:
+    if d not in BUILTIN_TABLES:
+        raise InvalidDimensionError(f"no builtin schedule for d={d}; supported: {BUILTIN_DIMS}")
+    times, rows = zip(*BUILTIN_TABLES[d])
+    return PhaseSchedule(d, times, np.deg2rad(rows))
 
 
 def builtin_schedule(d: int) -> PhaseSchedule:
-    """The built-in cyclic schedule for d in {2, 3, 4}."""
-    return PhaseSchedule(d, "builtin")
+    """The built-in cyclic schedule for d in {2, 3, 4}: one shared instance per d."""
+    return _builtin(_integral(d, "dim"))
 
 
 def expected_shift(schedule: PhaseSchedule) -> tuple[float, int | None]:
@@ -164,7 +163,7 @@ def check_su(schedule: PhaseSchedule) -> bool:
 
 
 def load_schedule(path) -> PhaseSchedule:
-    """Load a custom schedule from JSON {dim, breakpoints: [[t, [deg...]]...]}.
+    """Load a schedule from JSON {dim, breakpoints: [[t, [deg...]]...]}.
 
     Phases are stored in degrees on disk and converted to radians here.  The
     loader rejects unsorted times and any SU(d) or xi(0)=0 violation, on the
@@ -182,7 +181,7 @@ def load_schedule(path) -> PhaseSchedule:
         raw = data["breakpoints"]
         times = np.array(reals([row[0] for row in raw], "breakpoint times"))
         values = np.deg2rad(np.array([reals(row[1], "breakpoint phases") for row in raw]))
-        schedule = PhaseSchedule(dim, "custom", times=times, values=values)
+        schedule = PhaseSchedule(dim, times, values)
     # every check raises a SagnacsimError, a ValueError, as ragged phase rows do
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule file {path}: {exc}") from exc

@@ -5,9 +5,11 @@ entanglement measure.
 ``DiagonalPhaseOp``, ``apply_signal_phases`` and ``inner_product`` step a
 state through a schedule one ``BipartiteQuditState`` at a time; the
 kinematic-phase tests check the package's array code against this chain.
-``stacked_phases`` evaluates a schedule one phase column at a time and joins
-the columns with ``np.stack``; the schedule tests require the package's
-one-output evaluation to match it bit for bit.
+``stacked_phases`` evaluates a schedule's breakpoint table with ``np.interp``
+one phase column at a time and joins the columns with ``np.stack``; the
+schedule tests require the package's segment formula to match it bit for bit.
+``closed_form_phases`` gives the built-in loops by their closed forms, the
+physics reference that ``BUILTIN_TABLES`` must reproduce.
 ``i_concurrence`` measures how entangled a state is; the tests use it to
 check that ``make_antisymmetric_mes`` gives maximally entangled states.
 ``random_state`` draws one normalized complex Gaussian state.
@@ -159,12 +161,12 @@ def random_state(rng: np.random.Generator, d: int) -> BipartiteQuditState:
 class Squared(PhaseSchedule):
     """A schedule run at t^2: the same loop along a curved parameterization.
 
-    A subclass with the inner schedule's dim, kind and breakpoints, so only
-    its phases tell it apart.
+    A subclass with the inner schedule's dim and breakpoints, so only its
+    phases tell it apart.
     """
 
     def __init__(self, inner: PhaseSchedule):
-        super().__init__(inner.dim, inner.kind, *(inner.breakpoints or ()))
+        super().__init__(inner.dim, *inner.breakpoints)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -181,14 +183,20 @@ def state_json(state: BipartiteQuditState) -> dict:
 
 
 def stacked_phases(schedule, t) -> np.ndarray:
-    """Phases of a built-in or custom ``PhaseSchedule`` at t, one array per
+    """Phases of a ``PhaseSchedule`` at t by ``np.interp`` over its table, one array per
     column joined by ``np.stack``: shape (d,) for a scalar t, (..., d) else."""
+    times, values = schedule.breakpoints
+    return np.stack([np.interp(t, times, values[:, k]) for k in range(schedule.dim)], axis=-1)
+
+
+def closed_form_phases(d: int, t) -> np.ndarray:
+    """Phases of the built-in loop for d = 2, 3 or 4 at t, by its closed form.
+
+    d = 2 is linear; d = 3 and d = 4 switch on a right-continuous step h at
+    t = 0.5, where every h-term carries a factor 2t - 1 or 1 - 2t.
+    """
     t = np.asarray(t, dtype=float)
-    d = schedule.dim
-    if schedule.kind == "custom":
-        times, values = schedule.breakpoints
-        columns = [np.interp(t, times, values[:, k]) for k in range(d)]
-    elif d == 2:
+    if d == 2:
         columns = [np.pi * t, -np.pi * t]
     else:
         h = (t >= 0.5).astype(float)

@@ -464,7 +464,7 @@ class TestKinematicPhase:
         assert circular_diff(kin.geometric, np.pi) < 1e-8
 
     def test_null_schedule(self):
-        sched = PhaseSchedule(2, "custom", times=[0.0, 1.0], values=np.zeros((2, 2)))
+        sched = PhaseSchedule(2, times=[0.0, 1.0], values=np.zeros((2, 2)))
         kin = kinematic_phase(make_antisymmetric_mes(2), sched, 200)
         assert kin.total == pytest.approx(0.0, abs=1e-12)
         assert kin.dynamical == pytest.approx(0.0, abs=1e-12)
@@ -507,7 +507,7 @@ class TestKinematicPhase:
                 row = rng.uniform(-np.pi, np.pi, d)
                 rows.append(row - row.mean())  # traceless
             sched = PhaseSchedule(
-                d, "custom", times=[0.0, 0.3, 0.7, 1.0], values=np.array(rows)
+                d, times=[0.0, 0.3, 0.7, 1.0], values=np.array(rows)
             )
             kin = kinematic_phase(make_antisymmetric_mes(d), sched, 2000)
             assert abs(kin.dynamical) < 1e-9
@@ -516,7 +516,7 @@ class TestKinematicPhase:
         amps = np.diag([1.0, 1.0]).astype(complex) / np.sqrt(2.0)
         state = make_antisymmetric_mes(2).__class__(2, amps)
         sched = PhaseSchedule(
-            2, "custom", times=[0.0, 1.0],
+            2, times=[0.0, 1.0],
             values=[[0.0, 0.0], [np.pi / 2.0, -np.pi / 2.0]],
         )
         with pytest.raises(DegenerateLoopError):
@@ -566,7 +566,7 @@ class TestKinematicReference:
         for _ in range(3):
             row = rng.uniform(-np.pi, np.pi, d)
             rows.append(row - row.mean())
-        return state, PhaseSchedule(d, "custom", times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
+        return state, PhaseSchedule(d, times=[0.0, 0.2, 0.6, 1.0], values=np.array(rows))
 
     @staticmethod
     def curved_loop():
@@ -599,7 +599,7 @@ class TestKinematicReference:
 
     # sha256 of the float64 bytes of (total, dynamical, geometric), loop by loop,
     # from test_kinematic_numbers_frozen
-    FROZEN_KINEMATIC_SHA256 = "2bb953be9ec410be87a9d6e1295834b4d3fc5bee3f58934a152bff61cb63fd82"
+    FROZEN_KINEMATIC_SHA256 = "ab8456e6bd566e1aa4618a66fd6307adab526498435c887e45cbdb8513a68f2e"
 
     def test_kinematic_numbers_frozen(self):
         """The bytes of the kinematic phases: the MES under the d = 2, 3, 4 built-ins at

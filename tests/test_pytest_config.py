@@ -1,4 +1,5 @@
-"""The repository's pytest configuration reports a failing property test by name."""
+"""The repository's pytest configuration reports a failing property test by name, and a
+property module passes when it runs alone."""
 
 import shutil
 import subprocess
@@ -28,3 +29,12 @@ def test_failing_hypothesis_test_is_named(tmp_path):
     assert "INTERNALERROR" not in proc.stdout
     assert any(line.startswith("FAILED tests/test_prop.py::test_always_fails")
                for line in proc.stdout.splitlines()), proc.stdout
+
+
+def test_schedule_module_passes_alone():
+    # derandomized Hypothesis draws mix in the literals of every loaded module, so a module
+    # run alone draws other examples than it does in the full suite
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "tests/test_schedule.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr

@@ -480,7 +480,7 @@ class TestFringeMemo:
             def __call__(self, t):
                 return reshape(super().__call__(t))
 
-        cfg = ExperimentConfig(dim=3, schedule=Reshaped(3, "builtin"))
+        cfg = ExperimentConfig(dim=3, schedule=Reshaped(3, *builtin_schedule(3).breakpoints))
         _mes_fringe.cache_clear()
         for mode in ("exact", "sampled"):
             with pytest.raises(DimensionMismatchError):

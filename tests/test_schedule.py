@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import circular_diff, stacked_phases
+from _helpers import circular_diff, closed_form_phases, stacked_phases
 from sagnacsim import (
     ConfigError,
     ExperimentConfig,
@@ -22,7 +22,7 @@ from sagnacsim import (
     load_schedule,
     phase_shift,
 )
-from sagnacsim.schedule import SU_TOL, expected_shift
+from sagnacsim.schedule import BUILTIN_TABLES, SU_TOL, expected_shift
 
 
 class TestBuiltinEndpoints:
@@ -53,6 +53,62 @@ class TestBuiltinEndpoints:
             builtin_schedule(d)
 
 
+# the t values of the benchmark's exact campaign
+CAMPAIGN_T = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+
+
+class TestBuiltinTables:
+    """The built-in tables against the closed forms of the same loops."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equal_to_closed_forms_at_knots_and_campaign_t(self, d):
+        # equal values; the closed forms give -0.0 where a table gives +0.0 at t = 0
+        t = np.array([*(row[0] for row in BUILTIN_TABLES[d]), *CAMPAIGN_T])
+        assert np.array_equal(builtin_schedule(d)(t), closed_form_phases(d, t))
+        for x in t:
+            assert np.array_equal(builtin_schedule(d)(x), closed_form_phases(d, x))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_within_1e_15_of_closed_forms_on_a_fine_grid(self, d):
+        t = np.linspace(0.0, 1.0, 10_001)
+        assert np.max(np.abs(builtin_schedule(d)(t) - closed_form_phases(d, t))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_schedule_file_of_the_table_equals_the_builtin(self, d, tmp_path):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"dim": d, "breakpoints": BUILTIN_TABLES[d]}))
+        t = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(load_schedule(path)(t), builtin_schedule(d)(t))
+
+
+class TestSharedBuiltins:
+    @pytest.mark.parametrize("d", [2.5, "3", True, [3], None])
+    def test_non_integer_dim_rejected(self, d):
+        with pytest.raises(ConfigError, match="dim must be an integer"):
+            builtin_schedule(d)
+
+    def test_one_instance_per_dim(self):
+        assert builtin_schedule(3.0) is builtin_schedule(3)
+        assert builtin_schedule(np.int64(4)) is builtin_schedule(4)
+        assert builtin_schedule(2) is not builtin_schedule(3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_shared_instance_cannot_change(self, d):
+        sched = builtin_schedule(d)
+        before = sched(np.linspace(0.0, 1.0, 11))
+        with pytest.raises(AttributeError):
+            sched.dim = 5
+        for array in vars(sched).values():
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+        times, values = sched.breakpoints
+        times[1] = 0.25
+        values[1] = 1.0
+        assert sched.dim == d
+        assert np.array_equal(sched(np.linspace(0.0, 1.0, 11)), before)
+
+
 class TestEval:
     def test_d3_midpoint(self):
         np.testing.assert_allclose(
@@ -68,10 +124,14 @@ class TestEval:
 
     @pytest.mark.parametrize("t", [-0.1, 1.0001, 2.0, np.nan])
     def test_out_of_range(self, t):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match=re.escape(f"t out of range: {t} not")):
             builtin_schedule(2)(t)
 
-    # both grids hold t = 0.5 exactly, where the d = 3 and d = 4 steps switch on
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_array(self, shape):
+        assert builtin_schedule(3)(np.empty(shape)).shape == shape + (3,)
+
+    # both grids hold the d = 3 and d = 4 knot t = 0.5 exactly
     @pytest.mark.parametrize("t", [
         0.5, 0.0, 1.0, 0.3, np.float64(0.7), np.array(0.5),
         np.linspace(0.0, 1.0, 101),
@@ -79,7 +139,7 @@ class TestEval:
     ], ids=["0.5", "0", "1", "0.3", "float64", "0-d", "1-d", "2-d"])
     @pytest.mark.parametrize("schedule", [
         builtin_schedule(2), builtin_schedule(3), builtin_schedule(4),
-        PhaseSchedule(3, "custom", times=[0.0, 0.5, 0.8, 1.0],
+        PhaseSchedule(3, times=[0.0, 0.5, 0.8, 1.0],
                       values=[[0.0, 0.0, 0.0], [1.0, -0.25, -0.75], [-2.0, 3.0, -1.0],
                               [2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0, -4.0 * np.pi / 3.0]]),
     ], ids=["d2", "d3", "d4", "custom"])
@@ -88,6 +148,23 @@ class TestEval:
         assert got.shape == want.shape == np.shape(t) + (schedule.dim,)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestSegmentFormula:
+    def test_random_tables_bit_identical_to_interp(self):
+        # d = 2..6 and 2-6 breakpoints; t scalar, at every knot, sorted with ties, unsorted, N-D
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            d, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            times = np.array([0.0, *np.sort(rng.uniform(0.0, 1.0, n - 2)), 1.0])
+            values = np.vstack([np.zeros(d), rng.uniform(-7.0, 7.0, (n - 1, d))])
+            sched = PhaseSchedule(d, times, values)
+            t = rng.uniform(0.0, 1.0, 40)
+            for x in (float(t[0]), t[1], np.array(t[2]), *times, t, np.sort(t),
+                      np.repeat(times, 2), np.concatenate([t, times]), t.reshape(2, 4, 5)):
+                got, want = sched(x), stacked_phases(sched, x)
+                assert got.shape == want.shape == np.shape(x) + (d,)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (times, x)
 
 
 class TestContinuityAndCyclicity:
@@ -125,7 +202,7 @@ def slopes_finite(times, values) -> bool:
 
 def straight_loop(endpoint):
     """The custom schedule that runs in a straight line from 0 to ``endpoint`` (radians)."""
-    return PhaseSchedule(len(endpoint), "custom", times=[0.0, 1.0],
+    return PhaseSchedule(len(endpoint), times=[0.0, 1.0],
                          values=[np.zeros(len(endpoint)), endpoint])
 
 
@@ -145,7 +222,7 @@ def zero_sum_loops(draw):
         row = draw(st.lists(st.floats(-400.0, 400.0), min_size=d - 1, max_size=d - 1))
         rows.append(row + [-sum(row)])
     assume(slopes_finite(times, np.deg2rad(rows)))
-    return PhaseSchedule(d, "custom", times=times, values=np.deg2rad(rows))
+    return PhaseSchedule(d, times=times, values=np.deg2rad(rows))
 
 
 class TestExpectedShift:
@@ -205,7 +282,7 @@ class TestCheckSu:
 
     def test_violating_custom_fails(self):
         sched = PhaseSchedule(
-            2, "custom", times=[0.0, 1.0], values=[[0.0, 0.0], [np.pi, 0.0]]
+            2, times=[0.0, 1.0], values=[[0.0, 0.0], [np.pi, 0.0]]
         )
         assert not check_su(sched)
 
@@ -213,7 +290,7 @@ class TestCheckSu:
 class TestCustomSchedules:
     def test_piecewise_linear_eval(self):
         sched = PhaseSchedule(
-            2, "custom",
+            2,
             times=[0.0, 0.5, 1.0],
             values=[[0.0, 0.0], [1.0, -1.0], [0.5, -0.5]],
         )
@@ -224,26 +301,26 @@ class TestCustomSchedules:
 
     def test_structural_rejections(self):
         with pytest.raises(ScheduleError):  # unsorted times
-            PhaseSchedule(2, "custom", times=[0.0, 0.7, 0.3, 1.0],
+            PhaseSchedule(2, times=[0.0, 0.7, 0.3, 1.0],
                           values=np.zeros((4, 2)))
         with pytest.raises(ScheduleError):  # nonzero start
-            PhaseSchedule(2, "custom", times=[0.0, 1.0],
+            PhaseSchedule(2, times=[0.0, 1.0],
                           values=[[0.1, -0.1], [0.0, 0.0]])
         with pytest.raises(ScheduleError):  # does not cover [0, 1]
-            PhaseSchedule(2, "custom", times=[0.0, 0.5], values=np.zeros((2, 2)))
+            PhaseSchedule(2, times=[0.0, 0.5], values=np.zeros((2, 2)))
         with pytest.raises(ScheduleError):  # single breakpoint
-            PhaseSchedule(2, "custom", times=[0.0], values=np.zeros((1, 2)))
+            PhaseSchedule(2, times=[0.0], values=np.zeros((1, 2)))
         with pytest.raises(ScheduleError, match="at least two"):  # no breakpoint
-            PhaseSchedule(2, "custom", times=[], values=np.zeros((0, 2)))
+            PhaseSchedule(2, times=[], values=np.zeros((0, 2)))
         with pytest.raises(InvalidDimensionError):  # dimension below 2
-            PhaseSchedule(1, "custom", times=[0.0, 1.0], values=[[0.0], [0.0]])
+            PhaseSchedule(1, times=[0.0, 1.0], values=[[0.0], [0.0]])
 
-    def test_builtin_has_no_breakpoints(self):
-        assert builtin_schedule(2).breakpoints is None
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ScheduleError, match="unknown schedule kind"):
-            PhaseSchedule(2, "bogus")
+    def test_builtin_breakpoints_are_its_table(self):
+        assert builtin_schedule(2).breakpoints[1].tolist() == [[0.0, 0.0], [np.pi, -np.pi]]
+        for d, table in BUILTIN_TABLES.items():
+            times, values = builtin_schedule(d).breakpoints
+            assert times.tolist() == [row[0] for row in table]
+            assert np.array_equal(values, np.deg2rad([row[1] for row in table]))
 
     @pytest.mark.parametrize("times, values", [
         ([0.0, np.nan, 1.0], np.zeros((3, 2))),
@@ -252,7 +329,7 @@ class TestCustomSchedules:
     ])
     def test_non_finite_breakpoints_rejected(self, times, values):
         with pytest.raises(ScheduleError, match="finite"):
-            PhaseSchedule(2, "custom", times=times, values=values)
+            PhaseSchedule(2, times=times, values=values)
 
     @pytest.mark.parametrize("times, values", [
         ([0.0, 1e-323, 1.0], [[0.0, 0.0], [1.0, -1.0], [0.0, 0.0]]),
@@ -260,15 +337,15 @@ class TestCustomSchedules:
     ], ids=["tiny-gap", "overflowing-step"])
     def test_overflowing_slopes_rejected(self, times, values):
         with pytest.raises(ScheduleError, match="slope overflows"):
-            PhaseSchedule(2, "custom", times=times, values=values)
+            PhaseSchedule(2, times=times, values=values)
 
     @pytest.mark.parametrize("dim", [2.5, "2", True, None])
     def test_non_integer_dim_rejected(self, dim):
         with pytest.raises(ConfigError, match="dim must be an integer"):
-            PhaseSchedule(dim, "custom", times=[0.0, 1.0], values=np.zeros((2, 2)))
+            PhaseSchedule(dim, times=[0.0, 1.0], values=np.zeros((2, 2)))
 
     def test_integral_float_dim_accepted(self):
-        assert PhaseSchedule(2.0, "builtin").dim == 2
+        assert PhaseSchedule(2.0, [0.0, 1.0], np.zeros((2, 2))).dim == 2
 
     @pytest.mark.parametrize("times, values", [
         (["0", "1"], [[0.0, 0.0], [np.pi, -np.pi]]),
@@ -281,10 +358,10 @@ class TestCustomSchedules:
     ])
     def test_non_numeric_breakpoints_rejected(self, times, values):
         with pytest.raises(ConfigError, match="must be a number"):
-            PhaseSchedule(2, "custom", times=times, values=values)
+            PhaseSchedule(2, times=times, values=values)
 
     def test_numeric_arrays_accepted(self):
-        sched = PhaseSchedule(2, "custom", times=np.array([0, 1]),
+        sched = PhaseSchedule(2, times=np.array([0, 1]),
                               values=np.array([[0.0, 0.0], [np.pi, -np.pi]], dtype=np.float32))
         times, values = sched.breakpoints
         assert times.dtype == values.dtype == np.float64
@@ -292,7 +369,7 @@ class TestCustomSchedules:
     def test_caller_arrays_copied(self):
         times = np.array([0.0, 1.0])
         values = np.array([[0.0, 0.0], [np.pi, -np.pi]])
-        sched = PhaseSchedule(2, "custom", times=times, values=values)
+        sched = PhaseSchedule(2, times=times, values=values)
         values[1, 0] = np.nan
         times[1] = 0.5
         np.testing.assert_array_equal(sched(1.0), [np.pi, -np.pi])
@@ -307,7 +384,8 @@ class TestLoader:
         }))
         sched = load_schedule(path)
         np.testing.assert_allclose(sched(1.0), [np.pi, -np.pi], atol=1e-12)
-        assert sched.kind == "custom" and sched.dim == 2
+        assert sched.dim == 2
+        assert sched.breakpoints[0].tolist() == [0.0, 1.0]
 
     def test_loader_rejects_su_violation(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -326,7 +404,7 @@ class TestLoader:
             "breakpoints": [[0.0, [0.0, 0.0]], [0.5002, [0.0, 0.0]], [0.5005, [90.0, 0.0]],
                             [0.5008, [0.0, 0.0]], [1.0, [180.0, -180.0]]],
         }))
-        assert check_su(PhaseSchedule(2, "custom", times=[0.0, 0.5002, 0.5005, 0.5008, 1.0],
+        assert check_su(PhaseSchedule(2, times=[0.0, 0.5002, 0.5005, 0.5008, 1.0],
                                       values=np.deg2rad([[0, 0], [0, 0], [90, 0], [0, 0],
                                                          [180, -180]])))
         with pytest.raises(ScheduleError, match="SU"):
@@ -466,7 +544,7 @@ class TestArrayEvaluation:
         t = np.linspace(0.0, 1.0, 11)
         t[4] = bad
         for sched in (builtin_schedule(3), _loaded_custom(tmp_path)):
-            with pytest.raises(ScheduleError):
+            with pytest.raises(ScheduleError, match=re.escape(f"t out of range: {bad} not")):
                 sched(t)
 
     def test_check_su_fails_on_nan_phase(self):
@@ -478,5 +556,5 @@ class TestArrayEvaluation:
                 xi[..., 0] = np.where(np.asarray(t) == 0.5, np.nan, xi[..., 0])
                 return xi
 
-        sched = NanPhase(2, "custom", times=[0.0, 1.0], values=np.zeros((2, 2)))
+        sched = NanPhase(2, times=[0.0, 1.0], values=np.zeros((2, 2)))
         assert not check_su(sched)

@@ -202,7 +202,7 @@ def test_su_schedules_phase_sum_failure(monkeypatch, capsys):
 
 def test_su_schedules_endpoint_failure(monkeypatch, capsys):
     # traceless and cyclic, but xi(1) = (240, 240, -480) deg ends the loop in sector 2, not 1
-    winding_2 = PhaseSchedule(3, "custom", times=[0.0, 1.0],
+    winding_2 = PhaseSchedule(3, times=[0.0, 1.0],
                               values=np.deg2rad([[0.0, 0.0, 0.0], [240.0, 240.0, -480.0]]))
     real = verify.builtin_schedule
     monkeypatch.setattr(verify, "builtin_schedule", lambda d: winding_2 if d == 3 else real(d))
