@@ -315,6 +315,16 @@ class TestCustomSchedules:
         with pytest.raises(InvalidDimensionError):  # dimension below 2
             PhaseSchedule(1, times=[0.0, 1.0], values=[[0.0], [0.0]])
 
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 1.0], np.zeros((2, 3))),
+        ([0.0, 1.0], np.zeros((3, 2))),
+        ([[0.0, 1.0]], np.zeros((2, 2))),
+        ([0.0, 1.0], np.zeros(2)),
+    ], ids=["rows-too-wide", "more-rows-than-times", "2-d-times", "1-d-phases"])
+    def test_shapes_rejected(self, times, values):
+        with pytest.raises(ScheduleError, match="phase rows"):
+            PhaseSchedule(2, times, values)
+
     def test_builtin_breakpoints_are_its_table(self):
         assert builtin_schedule(2).breakpoints[1].tolist() == [[0.0, 0.0], [np.pi, -np.pi]]
         for d, table in BUILTIN_TABLES.items():
